@@ -452,7 +452,17 @@ let hier_table ~opts pool () =
    changes. *)
 let alloc_budget_bytes_per_join = 16000.0
 
+(* Committed work budget for the same rows: *PTREE cells computed per
+   merge, i.e. per *PTREE run.  Cells memoised by a construction's context
+   are not computed again, so this is the memo's footprint: the exact
+   row measured 1.44 at n=10 with the memo and 11.07 without it
+   (EXPERIMENTS.md "Cell memo").  The --smoke run fails above budget
+   x1.25, so losing the memo cannot land silently. *)
+let cells_budget_per_merge = 1.45
+
 type kernel_snap = {
+  k_runs : int;
+  k_cells : int;
   k_joins : int;
   k_join_adds : int;
   k_join_survivors : int;
@@ -465,7 +475,9 @@ type kernel_snap = {
 let snap_kernel () =
   let g = Atomic.get in
   let open Merlin_core.Star_ptree in
-  { k_joins = g n_joins;
+  { k_runs = g n_runs;
+    k_cells = g n_cells;
+    k_joins = g n_joins;
     k_join_adds = g n_join_adds;
     k_join_survivors = g n_join_survivors;
     k_bytes_join = g bytes_join;
@@ -474,7 +486,9 @@ let snap_kernel () =
     k_bytes_base = g bytes_base }
 
 let snap_delta a b =
-  { k_joins = b.k_joins - a.k_joins;
+  { k_runs = b.k_runs - a.k_runs;
+    k_cells = b.k_cells - a.k_cells;
+    k_joins = b.k_joins - a.k_joins;
     k_join_adds = b.k_join_adds - a.k_join_adds;
     k_join_survivors = b.k_join_survivors - a.k_join_survivors;
     k_bytes_join = b.k_bytes_join - a.k_bytes_join;
@@ -531,7 +545,7 @@ let curve_table ~opts () =
   in
   let header =
     [ "row"; "eps"; "cap"; "req (ps)"; "area"; "rt(s)";
-      "joins"; "adds/join"; "B/join"; "front/join" ]
+      "joins"; "adds/join"; "B/join"; "front/join"; "cells/merge" ]
   in
   let rows, wall_s =
     Clock.timed (fun () ->
@@ -551,7 +565,8 @@ let curve_table ~opts () =
            F m.Flows.runtime; I d.k_joins;
            F (per d.k_joins d.k_join_adds);
            F (per d.k_joins d.k_bytes_join);
-           F (per d.k_joins d.k_join_survivors) ])
+           F (per d.k_joins d.k_join_survivors);
+           F (per d.k_runs d.k_cells) ])
       rows
   in
   print
@@ -573,13 +588,16 @@ let curve_table ~opts () =
              ("bytes_pull", ji d.k_bytes_pull);
              ("bytes_base", ji d.k_bytes_base);
              ("bytes_per_join", jf (per d.k_joins d.k_bytes_join));
-             ("frontier_per_join", jf (per d.k_joins d.k_join_survivors)) ])
+             ("frontier_per_join", jf (per d.k_joins d.k_join_survivors));
+             ("merges", ji d.k_runs); ("cells", ji d.k_cells);
+             ("cells_per_merge", jf (per d.k_runs d.k_cells)) ])
       rows
   in
   write_json ~opts ~table:"curve" ~wall_s
     (json_rows
      @ [ Json.Obj [ ("row", js "budget");
-                    ("bytes_per_join_budget", jf alloc_budget_bytes_per_join) ] ]);
+                    ("bytes_per_join_budget", jf alloc_budget_bytes_per_join);
+                    ("cells_per_merge_budget", jf cells_budget_per_merge) ] ]);
   (* The emitter must keep producing documents the repo's own JSON layer
      parses: read the file straight back.  Any Parse_error here fails the
      @bench-smoke alias. *)
@@ -595,8 +613,8 @@ let curve_table ~opts () =
       | Some (Json.List (_ :: _)) -> ()
       | Some _ | None ->
         failwith "Bench.curve_table: emitted JSON lost its rows"));
-  (* Allocation-regression guard: the exact rows must stay within 25% of
-     the committed budget. *)
+  (* Allocation- and work-regression guards: the exact rows must stay
+     within 25% of the committed budgets. *)
   if opts.smoke then
     List.iter
       (fun (label, _, eps, cap, _, d) ->
@@ -607,7 +625,14 @@ let curve_table ~opts () =
                (Printf.sprintf
                   "Bench.curve_table: %s allocates %.0f bytes/join, over \
                    budget %.0f x1.25 — the zero-allocation kernel regressed"
-                  label bpj alloc_budget_bytes_per_join)
+                  label bpj alloc_budget_bytes_per_join);
+           let cpm = per d.k_runs d.k_cells in
+           if cpm > cells_budget_per_merge *. 1.25 then
+             failwith
+               (Printf.sprintf
+                  "Bench.curve_table: %s computes %.2f cells/merge, over \
+                   budget %.2f x1.25 — the *PTREE cell memo regressed"
+                  label cpm cells_budget_per_merge)
          end)
       rows
 

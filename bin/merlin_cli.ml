@@ -128,15 +128,18 @@ let dump_stats pool =
   Format.eprintf "%a@." Pool.pp_stats (Pool.stats pool)
 
 (* Curve-kernel telemetry (process-lifetime totals): frontier adds and
-   Gc.allocated_bytes deltas per *PTREE entry point, see Star_ptree. *)
+   Gc.allocated_bytes deltas per *PTREE entry point, see Star_ptree.
+   Cells memoised within a construction count once. *)
 let dump_curve_stats () =
   let g = Atomic.get in
   let open Merlin_core.Star_ptree in
-  let joins = g n_joins in
+  let joins = g n_joins and runs = g n_runs in
   let per v = if joins = 0 then 0.0 else float_of_int v /. float_of_int joins in
   Format.eprintf
-    "curve kernel: joins=%d adds/join=%.1f front/join=%.1f B/join=%.0f \
-     bytes=[join %d; close %d; pull %d; base %d]@."
+    "curve kernel: merges=%d cells/merge=%.2f joins=%d adds/join=%.1f \
+     front/join=%.1f B/join=%.0f bytes=[join %d; close %d; pull %d; base %d]@."
+    runs
+    (if runs = 0 then 0.0 else float_of_int (g n_cells) /. float_of_int runs)
     joins
     (per (g n_join_adds))
     (per (g n_join_survivors))

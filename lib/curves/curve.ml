@@ -29,6 +29,8 @@ let is_empty = function Empty -> true | F _ -> false
 
 let size = function Empty -> 0 | F arr -> Array.length arr
 
+let singleton s = F [| s |]
+
 let to_array = function Empty -> [||] | F arr -> arr
 
 let to_list c = Array.to_list (to_array c)

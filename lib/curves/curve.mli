@@ -22,6 +22,9 @@ val is_empty : 'a t -> bool
 
 val size : 'a t -> int
 
+(** [singleton s] is the one-solution curve [add empty s]. *)
+val singleton : 'a Solution.t -> 'a t
+
 (** Solutions in {!Solution.compare_key} order. *)
 val to_list : 'a t -> 'a Solution.t list
 

@@ -39,7 +39,7 @@ let curve ~tech ~buffers ?trials ?(max_curve = 16) ?refine_seg tree =
   in
   let rec walk = function
     | Rtree.Leaf s ->
-      cap (close (Curve.add Curve.empty (Build.of_sink s)))
+      cap (close (Curve.singleton (Build.of_sink s)))
     | Rtree.Node n ->
       let child_curve child =
         Curve.map_solutions

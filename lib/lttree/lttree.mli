@@ -36,7 +36,7 @@ val plan_area : plan -> float
 
 val n_levels : plan -> int
 
-(** [curve ~tech ~buffers ~max_fanout sinks] is the non-inferior
+(** [curve ~buffers ~max_fanout sinks] is the non-inferior
     (req, load, area) curve of LT-Tree-I plans for the sinks, each level
     limited to [max_fanout] children.  Sinks are sorted internally by
     required time.  Raises [Invalid_argument] on an empty sink list. *)
