@@ -6,9 +6,9 @@
 
    - add-vs-builder: P = 8*S candidates whose frontier is exactly S
      (a spine of S pairwise-incomparable points plus dominated noise),
-     inserted one by one with the list reference (Curve_reference.add),
-     one by one with the array-backed incremental add (Curve.add), and
-     in one batch (Curve.Builder.push + build).  S in {16, 64, 256}.
+     inserted one by one with the list reference (Curve_reference.add)
+     and in one batch (Curve.Builder.push + build).  S in {16, 64,
+     256}.
 
    - join-product: the F x F join of two frontiers of size F, the inner
      loop shape of Star_ptree / Van_ginneken, incremental reference
@@ -81,16 +81,15 @@ type row = {
   frontier : int;
   candidates : int;
   ref_us : float;
-  add_us : float;
   batch_us : float;
 }
 
 let rows : row list ref = ref []
 
-let report ~workload ~frontier ~candidates ~ref_us ~add_us ~batch_us =
-  rows := { workload; frontier; candidates; ref_us; add_us; batch_us } :: !rows;
-  Printf.printf "| %-12s | %8d | %10d | %12.1f | %12.1f | %12.1f | %7.1fx |\n%!"
-    workload frontier candidates ref_us add_us batch_us (ref_us /. batch_us)
+let report ~workload ~frontier ~candidates ~ref_us ~batch_us =
+  rows := { workload; frontier; candidates; ref_us; batch_us } :: !rows;
+  Printf.printf "| %-12s | %8d | %10d | %12.1f | %12.1f | %7.1fx |\n%!"
+    workload frontier candidates ref_us batch_us (ref_us /. batch_us)
 
 let run_adds ~rand ~reps s =
   let mult = 8 in
@@ -99,9 +98,6 @@ let run_adds ~rand ~reps s =
   let ref_s, ref_out =
     time_it reps (fun () ->
         Array.fold_left Curve_reference.add Curve_reference.empty candidates)
-  in
-  let add_s, add_out =
-    time_it reps (fun () -> Array.fold_left Curve.add Curve.empty candidates)
   in
   let batch_s, batch_out =
     time_it reps (fun () ->
@@ -115,13 +111,10 @@ let run_adds ~rand ~reps s =
       0.0
       (Curve_reference.to_list ref_out)
   in
-  if
-    checksum batch_out <> ref_sum
-    || checksum add_out <> ref_sum
-    || Curve.size batch_out <> s
-  then failwith "Curve_bench.run_adds: implementations disagree";
+  if checksum batch_out <> ref_sum || Curve.size batch_out <> s then
+    failwith "Curve_bench.run_adds: implementations disagree";
   report ~workload:"add" ~frontier:s ~candidates:n ~ref_us:(ref_s *. 1e6)
-    ~add_us:(add_s *. 1e6) ~batch_us:(batch_s *. 1e6)
+    ~batch_us:(batch_s *. 1e6)
 
 let run_join ~reps f =
   let left = spine f
@@ -160,16 +153,16 @@ let run_join ~reps f =
   if Curve.size batch_out <> Curve_reference.size ref_out then
     failwith "Curve_bench.run_join: implementations disagree";
   report ~workload:"join-product" ~frontier:f ~candidates:(f * f)
-    ~ref_us:(ref_s *. 1e6) ~add_us:nan ~batch_us:(batch_s *. 1e6)
+    ~ref_us:(ref_s *. 1e6) ~batch_us:(batch_s *. 1e6)
 
 let () =
   let rand = Random.State.make [| 2026; 8; 7 |] in
   let sizes = [ 16; 64; 256 ] in
   let reps s = if smoke then 3 else max 5 (20000 / s) in
   Printf.printf
-    "| workload     | frontier | candidates |   ref us/op  |   add us/op  |  batch us/op |  ref/batch |\n";
+    "| workload     | frontier | candidates |   ref us/op  |  batch us/op |  ref/batch |\n";
   Printf.printf
-    "|--------------|----------|------------|--------------|--------------|--------------|---------|\n";
+    "|--------------|----------|------------|--------------|--------------|---------|\n";
   List.iter (fun s -> run_adds ~rand ~reps:(reps s) s) sizes;
   List.iter (fun f -> run_join ~reps:(reps f) f) sizes;
   match json_path with
@@ -178,8 +171,8 @@ let () =
     let oc = open_out path in
     let row_json r =
       Printf.sprintf
-        "    {\"workload\":\"%s\",\"frontier\":%d,\"candidates\":%d,\"ref_us\":%.2f,\"add_us\":%.2f,\"batch_us\":%.2f}"
-        r.workload r.frontier r.candidates r.ref_us r.add_us r.batch_us
+        "    {\"workload\":\"%s\",\"frontier\":%d,\"candidates\":%d,\"ref_us\":%.2f,\"batch_us\":%.2f}"
+        r.workload r.frontier r.candidates r.ref_us r.batch_us
     in
     Printf.fprintf oc "{\n  \"bench\": \"curve_kernel\",\n  \"rows\": [\n%s\n  ]\n}\n"
       (String.concat ",\n" (List.rev_map row_json !rows));

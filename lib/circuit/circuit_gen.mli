@@ -8,8 +8,6 @@
     [scale_down] to keep full-flow experiments tractable on one core.
     Generation is deterministic per circuit name. *)
 
-open Merlin_geometry
-
 (** The 15 Table-2 circuits: (name, paper Flow-I area in 1000 lambda^2,
     paper Flow-I delay in ns, paper Flow-I runtime in s). *)
 val table2_specs : (string * float * float * float) list
@@ -22,6 +20,3 @@ val generate : ?scale_down:int -> name:string -> unit -> Netlist.t
 
 (** [random ~seed ~n_gates ~n_inputs] is the raw generator underneath. *)
 val random : seed:int -> n_gates:int -> n_inputs:int -> name:string -> Netlist.t
-
-(** Re-exported for tests: zero position array helper. *)
-val no_positions : n:int -> Point.t array

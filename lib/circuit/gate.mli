@@ -11,11 +11,6 @@ type kind = {
   model : Delay_model.t;
 }
 
-(** The synthetic library: inverter, buffer, 2/3-input NAND/NOR, 2-input
-    XOR and AOI cells, with areas and drives on the same scale as
-    {!Buffer_lib.default}. *)
-val library : kind array
-
 (** [pick ~rng ~n_inputs] draws a kind with the given arity (uniformly
     among matching kinds). *)
 val pick : rng:Random.State.t -> n_inputs:int -> kind

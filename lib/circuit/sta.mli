@@ -25,14 +25,6 @@ val init : Netlist.t -> t
 (** [with_routing t ~node tree] replaces one net's routing. *)
 val with_routing : t -> node:int -> Rtree.t -> t
 
-(** [star_tree net] is the default routing: a direct wire from the source
-    to every sink. *)
-val star_tree : Net.t -> Rtree.t
-
-(** [driver_model t node] — the pad model for primary inputs, the gate's
-    model otherwise. *)
-val driver_model : t -> int -> Delay_model.t
-
 (** [sink_gates t node] — gates reading [node], fixed order (net sink [i]
     corresponds to the [i]-th element). *)
 val sink_gates : t -> int -> int list

@@ -41,9 +41,6 @@ val add_root_buffer : Buffer_lib.buffer -> sol -> sol
     is elsewhere. *)
 val join : Point.t -> sol -> sol -> sol
 
-(** The root attachment point. *)
-val root : sol -> Point.t
-
 (** Cost-only twins of the moves above: the (required time, load, area)
     the move would produce, computed with the same float expressions (so
     bit-identical), without constructing the routing tree.  Results are

@@ -21,8 +21,6 @@ let rec sinks_in_order t =
     (function Direct id -> [ id ] | Chain sub -> sinks_in_order sub)
     t.members
 
-let n_sinks t = List.length (sinks_in_order t)
-
 let rec depth t =
   let sub_depth =
     List.fold_left

@@ -22,8 +22,6 @@ val level : member list -> t
 (** Sink ids in hierarchy DFS order — the realised sink order. *)
 val sinks_in_order : t -> int list
 
-val n_sinks : t -> int
-
 (** Number of links of the internal-node chain (levels). *)
 val depth : t -> int
 

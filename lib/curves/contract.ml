@@ -4,8 +4,6 @@ let enabled_ref =
      | Some "1" -> true
      | Some _ | None -> false)
 
-let enabled () = !enabled_ref
-
 let set_enabled b = enabled_ref := b
 
 let fail ~name msg =
@@ -37,13 +35,7 @@ let verify_frontier ~name sols =
   in
   frontier sols
 
-(* O(n): cheap enough to run after every [Curve.add] (curve construction
-   stays quadratic, not cubic, under MERLIN_CHECK=1). *)
-let check_sorted ~name sols =
-  if !enabled_ref then verify_sorted ~name sols;
-  sols
-
-(* O(n^2): the full invariant, for the bulk operations. *)
+(* O(n^2): the full invariant, list flavour. *)
 let check ~name sols =
   if !enabled_ref then begin
     verify_sorted ~name sols;
@@ -98,10 +90,6 @@ let verify_frontier_arr ~name sols =
     Float.Array.set st_load q l;
     Float.Array.set st_area q a
   done
-
-let check_sorted_arr ~name sols =
-  if !enabled_ref then verify_sorted_arr ~name sols;
-  sols
 
 let check_arr ~name sols =
   if !enabled_ref then begin

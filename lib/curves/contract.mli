@@ -10,8 +10,6 @@
     {ol {- solutions strictly sorted by {!Solution.compare_key};}
         {- pairwise non-inferior (Definition 6's frontier property).}} *)
 
-val enabled : unit -> bool
-
 (** Programmatic override, used by tests. *)
 val set_enabled : bool -> unit
 
@@ -20,13 +18,7 @@ val set_enabled : bool -> unit
     operation) on a violation.  O(n²) when enabled. *)
 val check : name:string -> 'a Solution.t list -> 'a Solution.t list
 
-(** Sortedness only — O(n), cheap enough for the per-insertion hot path
-    ({!Curve.add}). *)
-val check_sorted : name:string -> 'a Solution.t list -> 'a Solution.t list
-
-(** Array flavours of the same two checks, used by the array-backed
-    curve kernel so verification never round-trips through a list. *)
+(** Array flavour of {!check}, used by {!Curve.Builder.build} so
+    verification never round-trips through a list.  O(n log n) when
+    enabled. *)
 val check_arr : name:string -> 'a Solution.t array -> 'a Solution.t array
-
-val check_sorted_arr :
-  name:string -> 'a Solution.t array -> 'a Solution.t array

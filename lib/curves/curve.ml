@@ -16,8 +16,8 @@
    staircase of the kept points answers every dominance query with a
    binary search.  Cost: O(P log P) for the sort plus O(log F) per
    query and O(F) per staircase insertion (F = frontier size, F << P
-   in the DP hot paths), versus O(P·F) list rebuilding for P repeated
-   [add]s. *)
+   in the DP hot paths).  It is the only way to build a multi-solution
+   curve. *)
 
 type 'a t =
   | Empty
@@ -307,8 +307,7 @@ module Builder = struct
     go 0 v
 
   (* One sort + one staircase sweep over the accumulated bag.  Ties
-     (equal coordinate keys) keep the earliest push, matching the
-     incremental [add]'s first-wins behaviour.  [grids] quantises every
+     (equal coordinate keys) keep the earliest push.  [grids] quantises every
      coordinate before the sweep (the per-candidate quantisation of the
      DP cores, fused into the batch pass).
 
@@ -516,87 +515,8 @@ module Builder = struct
     end
 end
 
-(* Incremental insertion: binary-search placement over the sorted array,
-   then a prefix dominance scan (only earlier elements can dominate [s])
-   and a suffix filter (only later elements can be dominated by [s]). *)
-let add c s =
-  match c with
-  | Empty -> F [| s |]
-  | F arr ->
-    let n = Array.length arr in
-    (* First index whose key is greater than [s]'s. *)
-    let pos =
-      let lo = ref 0 and hi = ref n in
-      while !lo < !hi do
-        let mid = (!lo + !hi) / 2 in
-        if Solution.compare_key arr.(mid) s <= 0 then lo := mid + 1
-        else hi := mid
-      done;
-      !lo
-    in
-    if pos > 0 && Solution.compare_key arr.(pos - 1) s = 0 then c
-    else begin
-      (* Every element before [pos] has req >= s.req, so domination of
-         [s] reduces to load/area. *)
-      let dominated = ref false in
-      let i = ref 0 in
-      while (not !dominated) && !i < pos do
-        let x = arr.(!i) in
-        if x.Solution.load <= s.Solution.load
-           && x.Solution.area <= s.Solution.area
-        then dominated := true;
-        incr i
-      done;
-      if !dominated then c
-      else begin
-        (* Elements from [pos] on have req <= s.req: drop those [s]
-           dominates. *)
-        let survives x =
-          not
-            (s.Solution.load <= x.Solution.load
-             && s.Solution.area <= x.Solution.area)
-        in
-        let kept = ref 0 in
-        for i = pos to n - 1 do
-          if survives arr.(i) then incr kept
-        done;
-        let out = Array.make (pos + 1 + !kept) s in
-        Array.blit arr 0 out 0 pos;
-        let w = ref (pos + 1) in
-        for i = pos to n - 1 do
-          if survives arr.(i) then begin
-            out.(!w) <- arr.(i);
-            incr w
-          end
-        done;
-        F (Contract.check_sorted_arr ~name:"Curve.add" out)
-      end
-    end
-
-let of_list sols =
-  let b = Builder.create ~hint:(List.length sols) () in
-  List.iter (Builder.add b) sols;
-  Builder.build ~name:"Curve.of_list" b
-
-let union a b =
-  match (a, b) with
-  | Empty, c | c, Empty -> c
-  | F _, F _ ->
-    let bld = Builder.create ~hint:(size a + size b) () in
-    Builder.add_curve bld a;
-    Builder.add_curve bld b;
-    Builder.build ~name:"Curve.union" bld
-
 let map_data f c =
   match c with Empty -> Empty | F arr -> F (Array.map (Solution.map f) arr)
-
-let map_solutions f c =
-  match c with
-  | Empty -> Empty
-  | F arr ->
-    let bld = Builder.create ~hint:(Array.length arr) () in
-    Array.iter (fun s -> Builder.add bld (f s)) arr;
-    Builder.build ~name:"Curve.map_solutions" bld
 
 let fold f acc c = Array.fold_left f acc (to_array c)
 
@@ -639,7 +559,7 @@ let best_min_area c ~req =
     in
     scan 0 None
 
-let cap_impl ?scratch ~max_size c =
+let cap ?scratch ~max_size c =
   if max_size < 2 then invalid_arg "Curve.cap: max_size < 2";
   match c with
   | Empty -> Empty
@@ -685,28 +605,6 @@ let cap_impl ?scratch ~max_size c =
         | Empty -> Empty
         | F a -> F (Array.sub a 0 max_size)
     end
-
-let cap ?scratch ~max_size c = cap_impl ?scratch ~max_size c
-
-let quantise_load ~grid c =
-  if grid <= 0.0 then invalid_arg "Curve.quantise_load: grid <= 0";
-  match c with
-  | Empty -> Empty
-  | F _ ->
-    let bld = Builder.create ~hint:(size c) () in
-    Builder.add_curve bld c;
-    Builder.build ~name:"Curve.quantise_load" ~grids:(0.0, grid, 0.0) bld
-
-let quantise ~req_grid ~load_grid ~area_grid c =
-  if req_grid < 0.0 || load_grid < 0.0 || area_grid < 0.0 then
-    invalid_arg "Curve.quantise: negative grid";
-  match c with
-  | Empty -> Empty
-  | F _ ->
-    let bld = Builder.create ~hint:(size c) () in
-    Builder.add_curve bld c;
-    Builder.build ~name:"Curve.quantise"
-      ~grids:(req_grid, load_grid, area_grid) bld
 
 (* Pairwise non-domination scan; only reachable when the sorted-order
    invariant is somehow broken (see [is_frontier]). *)
@@ -798,9 +696,3 @@ let is_frontier c =
     done;
     !ok
   end
-
-let pp ppf c =
-  Format.fprintf ppf "{%a}"
-    (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ";@ ")
-       Solution.pp)
-    (to_list c)

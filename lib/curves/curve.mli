@@ -8,11 +8,11 @@
     [test/test_curves.ml] and [test/test_curve_kernel.ml] (observational
     equivalence against the list-based {!Curve_reference}).
 
-    The DP hot paths should not [add] candidates one at a time: they
-    accumulate a whole cell-root's candidate bag into a {!Builder} and
-    prune once with {!Builder.build} — one stable sort plus one staircase
-    sweep instead of a per-candidate frontier rebuild (DESIGN.md §"Curve
-    kernel"). *)
+    Every multi-solution curve is built the same way: push a whole
+    candidate bag into a {!Builder} and prune it once with
+    {!Builder.build} — one stable sort plus one staircase sweep
+    (DESIGN.md §"Curve kernel").  The DP hot paths keep one builder per
+    DP context and clear it between batches. *)
 
 type 'a t
 
@@ -22,7 +22,7 @@ val is_empty : 'a t -> bool
 
 val size : 'a t -> int
 
-(** [singleton s] is the one-solution curve [add empty s]. *)
+(** [singleton s] is the one-solution curve holding [s]. *)
 val singleton : 'a Solution.t -> 'a t
 
 (** Solutions in {!Solution.compare_key} order. *)
@@ -30,8 +30,7 @@ val to_list : 'a t -> 'a Solution.t list
 
 (** Batch accumulator: push candidate coordinates (and their payloads)
     into structure-of-arrays storage, then prune the whole bag at once.
-    Ties on {!Solution.compare_key} keep the earliest push, matching the
-    incremental {!add}. *)
+    Ties on {!Solution.compare_key} keep the earliest push. *)
 module Builder : sig
   type 'a b
 
@@ -82,12 +81,16 @@ module Builder : sig
   (** [build ?name ?grids ?epsilon ?max_frontier b] prunes the
       accumulated bag to its non-inferior frontier: one sort + one
       staircase sweep, O(P log P + P·F_insert) for P candidates and
-      frontier size F, versus O(P·F) for P repeated {!add}s.  [grids]
-      applies {!Solution.quantise} bucketing to every candidate during
-      the sweep (the DP cores' per-candidate quantisation, fused into
-      the batch pass); with all three grids positive the sort runs on
-      packed int keys instead of a float comparator (DESIGN.md §9).
-      [name] labels {!Contract} violations.
+      frontier size F.  [grids = (req, load, area)] applies
+      {!Solution.quantise} bucketing to every candidate during the
+      sweep — required time down, load and area up, so every kept
+      solution stays electrically valid; a grid of 0 leaves that
+      dimension untouched.  With all three grids set the frontier is
+      bounded by the number of distinct (load, area) buckets, which is
+      what makes the paper's dynamic programs pseudo-polynomial
+      (Lemmas 1 and 10), and the sort runs on packed int keys instead of
+      a float comparator (DESIGN.md §9).  [name] labels {!Contract}
+      violations.
 
       [epsilon > 0] additionally drops candidates epsilon-dominated by a
       kept point (within [epsilon] in both load and area at no-worse
@@ -107,26 +110,10 @@ module Builder : sig
     'a t
 end
 
-(** [add curve s] inserts [s] unless an existing solution dominates it and
-    removes every solution [s] dominates.  Placement is a binary search
-    over the sorted array; kept for genuinely incremental callers — batch
-    producers should use {!Builder}. *)
-val add : 'a t -> 'a Solution.t -> 'a t
-
-val of_list : 'a Solution.t list -> 'a t
-
-(** [union a b] is the pruned merge of both curves. *)
-val union : 'a t -> 'a t -> 'a t
-
 (** [map_data f c] maps only the carried payloads; coordinates — and
     hence the frontier — are unchanged.  This is how hot paths
     materialise deferred payloads after {!Builder.build}. *)
 val map_data : ('a -> 'b) -> 'a t -> 'b t
-
-(** [map_solutions f c] rebuilds the curve from [f] applied to each
-    solution, re-pruning (used to push a solution through a wire or a
-    buffer, which changes all three coordinates). *)
-val map_solutions : ('a Solution.t -> 'b Solution.t) -> 'a t -> 'b t
 
 val fold : ('acc -> 'a Solution.t -> 'acc) -> 'acc -> 'a t -> 'acc
 
@@ -152,23 +139,6 @@ val best_min_area : 'a t -> req:float -> 'a Solution.t option
     so capping allocates only the surviving points (DESIGN.md §5, §9). *)
 val cap : ?scratch:'a Builder.b -> max_size:int -> 'a t -> 'a t
 
-(** [quantise_load ~grid curve] rounds every load {e up} to a multiple of
-    [grid] and re-prunes — the "capacitances mapped to polynomially bounded
-    integers" proviso of Lemmas 1 and 10.  Rounding up is pessimistic, so
-    any solution kept remains electrically valid. *)
-val quantise_load : grid:float -> 'a t -> 'a t
-
-(** [quantise ~req_grid ~load_grid ~area_grid curve] buckets all three
-    dimensions pessimistically (required time down, load and area up) and
-    re-prunes.  With all three grids set, the frontier size is bounded by
-    the number of distinct (load, area) buckets, which is what makes the
-    paper's dynamic programs pseudo-polynomial without the instability of
-    a hard count cap.  A grid of 0 leaves that dimension untouched. *)
-val quantise :
-  req_grid:float -> load_grid:float -> area_grid:float -> 'a t -> 'a t
-
 (** [is_frontier c] checks the internal invariant: no element dominates
     another.  Exposed for tests. *)
 val is_frontier : 'a t -> bool
-
-val pp : Format.formatter -> 'a t -> unit

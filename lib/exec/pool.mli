@@ -96,10 +96,6 @@ val map : ?chunk:int -> t -> ('a -> 'b) -> 'a list -> 'b list
 
 (** {1 Telemetry} *)
 
-(** Log-decade histogram buckets, in seconds: [< 1us, < 10us, ...,
-    < 10 s, >= 10 s].  Index [i] counts durations in decade [i]. *)
-val hist_buckets : int
-
 type domain_stat = {
   tasks : int;     (** tasks executed on this slot *)
   busy_s : float;  (** seconds spent inside task bodies *)
@@ -117,8 +113,11 @@ type stats = {
   max_queue_wait_s : float;
   total_run_s : float;
   max_run_s : float;
-  queue_wait_hist : int array;  (** length {!hist_buckets} *)
-  run_hist : int array;         (** length {!hist_buckets} *)
+  queue_wait_hist : int array;
+      (** log-decade histogram, 9 buckets in seconds: [< 1us, < 10us,
+          ..., < 10 s, >= 10 s]; index [i] counts durations in decade
+          [i] *)
+  run_hist : int array;         (** same buckets as [queue_wait_hist] *)
   per_domain : domain_stat array;
       (** length [domains + 1]; the extra final slot counts tasks
           executed by helping/awaiting callers rather than workers *)

@@ -8,11 +8,6 @@
     changes what [Gc.get] reports.  The working lever is
     [OCAMLRUNPARAM=s=<words>] in the environment at exec time. *)
 
-(** [true] iff [OCAMLRUNPARAM] already carries an [s=] entry, i.e. the
-    minor heap was chosen by the user (or by a previous
-    {!ensure_minor_heap} re-exec). *)
-val has_minor_heap_setting : unit -> bool
-
 (** [ensure_minor_heap ?words ()] re-execs the current binary with
     [OCAMLRUNPARAM] augmented by [s=words] (default 4M words = 32 MB
     per domain) unless an [s=] entry is already present.  Call it at

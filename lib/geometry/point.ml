@@ -10,13 +10,9 @@ let compare a b =
   let c = Int.compare a.x b.x in
   if c <> 0 then c else Int.compare a.y b.y
 
-let hash a = (a.x * 1_000_003) lxor a.y
-
 let manhattan a b = abs (a.x - b.x) + abs (a.y - b.y)
 
 let add a b = { x = a.x + b.x; y = a.y + b.y }
-
-let midpoint a b = { x = a.x + ((b.x - a.x) / 2); y = a.y + ((b.y - a.y) / 2) }
 
 let center_of_mass = function
   | [] -> invalid_arg "Point.center_of_mass: empty list"

@@ -14,16 +14,11 @@ val equal : t -> t -> bool
 
 val compare : t -> t -> int
 
-val hash : t -> int
-
 (** [manhattan a b] is the L1 distance |ax-bx| + |ay-by|. *)
 val manhattan : t -> t -> int
 
 (** [add a b] is componentwise sum. *)
 val add : t -> t -> t
-
-(** [midpoint a b] rounds both coordinates toward [a]. *)
-val midpoint : t -> t -> t
 
 (** [center_of_mass pts] is the componentwise average (integer division).
     Raises [Invalid_argument] on the empty list. *)

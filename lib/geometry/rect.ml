@@ -23,10 +23,6 @@ let contains r p =
   p.Point.x >= r.lo.Point.x && p.Point.x <= r.hi.Point.x
   && p.Point.y >= r.lo.Point.y && p.Point.y <= r.hi.Point.y
 
-let center r = Point.midpoint r.lo r.hi
-
 let inflate r margin =
   { lo = Point.make (r.lo.Point.x - margin) (r.lo.Point.y - margin);
     hi = Point.make (r.hi.Point.x + margin) (r.hi.Point.y + margin) }
-
-let pp ppf r = Format.fprintf ppf "[%a..%a]" Point.pp r.lo Point.pp r.hi

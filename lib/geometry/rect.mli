@@ -11,17 +11,11 @@ val bounding_box : Point.t list -> t
 
 val width : t -> int
 
-val height : t -> int
-
 (** [half_perimeter r] is width + height — the HPWL lower bound on the
     wirelength of any rectilinear tree spanning the box corners. *)
 val half_perimeter : t -> int
 
 val contains : t -> Point.t -> bool
 
-val center : t -> Point.t
-
 (** [inflate r margin] grows the rectangle by [margin] on every side. *)
 val inflate : t -> int -> t
-
-val pp : Format.formatter -> t -> unit

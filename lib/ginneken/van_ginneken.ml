@@ -22,12 +22,23 @@ let curve ~tech ~buffers ?trials ?(max_curve = 16) ?refine_seg tree =
     | None -> tree
     | Some max_seg -> Rtree.refine ~max_seg tree
   in
-  let cap c = Curve.cap ~max_size:max_curve c in
+  (* One builder and one cap scratch serve every batch of the walk:
+     wire extension, join, own buffer and close.  Each batch is built
+     before the next one starts, and the recursion into a child finishes
+     before its parent pushes, so clearing and reusing them is safe. *)
+  let bld = Curve.Builder.create () in
+  let scratch = Curve.Builder.create () in
+  let cap c = Curve.cap ~scratch ~max_size:max_curve c in
+  let map_build name f c =
+    Curve.Builder.clear bld;
+    Curve.iter (fun sol -> Curve.Builder.add bld (f sol)) c;
+    Curve.Builder.build ~name bld
+  in
   (* Existing solutions first, buffered candidates second, one batch
      prune — the same tie-resolution as adding each candidate into the
      existing curve, without the per-candidate frontier rebuilds. *)
   let close c =
-    let bld = Curve.Builder.create ~hint:(Curve.size c * (1 + Array.length subset)) () in
+    Curve.Builder.clear bld;
     Curve.Builder.add_curve bld c;
     Curve.iter
       (fun sol ->
@@ -42,8 +53,8 @@ let curve ~tech ~buffers ?trials ?(max_curve = 16) ?refine_seg tree =
       cap (close (Curve.singleton (Build.of_sink s)))
     | Rtree.Node n ->
       let child_curve child =
-        Curve.map_solutions
-          (fun sol -> Build.extend_wire tech ~to_:n.Rtree.loc sol)
+        map_build "Van_ginneken.wire"
+          (Build.extend_wire tech ~to_:n.Rtree.loc)
           (walk child)
       in
       let join2 acc child =
@@ -51,9 +62,7 @@ let curve ~tech ~buffers ?trials ?(max_curve = 16) ?refine_seg tree =
         match acc with
         | None -> Some c
         | Some acc ->
-          let bld =
-            Curve.Builder.create ~hint:(Curve.size acc * Curve.size c) ()
-          in
+          Curve.Builder.clear bld;
           Curve.iter
             (fun a ->
                Curve.iter
@@ -72,7 +81,7 @@ let curve ~tech ~buffers ?trials ?(max_curve = 16) ?refine_seg tree =
         match n.Rtree.buffer with
         | None -> joined
         | Some b ->
-          Curve.map_solutions (fun sol -> Build.add_root_buffer b sol) joined
+          map_build "Van_ginneken.own_buffer" (Build.add_root_buffer b) joined
       in
       cap (close with_own_buffer)
   in
@@ -84,16 +93,16 @@ let insert ~tech ~buffers ?trials ?max_curve ?refine_seg (net : Net.t) tree =
   (* Under curve caps the refined DP is not strictly monotone versus the
      node-only one, so evaluate both and keep the better tree. *)
   let best_of c =
-    let with_driver =
-      Curve.map_solutions
-        (fun s ->
-           { s with
-             Solution.req =
-               s.Solution.req
-               -. Delay_model.delay net.Net.driver ~load:s.Solution.load })
-        c
-    in
-    match Curve.best_req with_driver with
+    let bld = Curve.Builder.create () in
+    Curve.iter
+      (fun s ->
+         let gate = Delay_model.delay net.Net.driver ~load:s.Solution.load in
+         Curve.Builder.push bld ~req:(s.Solution.req -. gate)
+           ~load:s.Solution.load ~area:s.Solution.area s.Solution.data)
+      c;
+    match
+      Curve.best_req (Curve.Builder.build ~name:"Van_ginneken.to_driver" bld)
+    with
     | Some sol -> sol
     | None -> assert false (* the unbuffered variant always survives *)
   in

@@ -272,87 +272,13 @@ module Mli_sibling = struct
       paths
 end
 
-(* R7 — no incremental Curve.add inside loops in the DP core.  The hot
-   paths must accumulate candidates into a Curve.Builder and prune once
-   per batch (one sort + one sweep); a per-candidate [Curve.add] inside a
-   for/while body or an iter/fold callback rebuilds the frontier per
-   candidate and silently reverts the batch kernel.  Genuinely
-   incremental call sites carry a same-line [lint: curve-add-in-loop]
-   waiver. *)
-module Curve_add_in_loop = struct
-  let name = "curve-add-in-loop"
-
-  let severity = Finding.Error
-
-  let doc =
-    "Curve.add inside a loop or iter/fold callback in the DP core; \
-     accumulate into Curve.Builder and build once per batch"
-
-  let path_in_core path =
-    Rule.path_in_lib path
-    && List.exists
-         (String.equal "core")
-         (String.split_on_char '/' path)
-
-  let is_curve_add = function
-    | Longident.Ldot (Longident.Lident "Curve", "add")
-    | Longident.Ldot
-        (Longident.Ldot (Longident.Lident "Merlin_curves", "Curve"), "add") ->
-      true
-    | _ -> false
-
-  let is_iterish = function
-    | Longident.Ldot (_, ("iter" | "iteri" | "fold" | "fold_left" | "fold_right"))
-      ->
-      true
-    | _ -> false
-
-  (* Scan a loop body (or callback argument) for Curve.add idents with a
-     dedicated sub-iterator; [seen] dedups sites reached through nested
-     loops. *)
-  let scan ctx seen root =
-    let expr self e =
-      (match e.pexp_desc with
-       | Pexp_ident { txt; loc } when is_curve_add txt ->
-         let key =
-           (loc.Location.loc_start.Lexing.pos_lnum,
-            loc.Location.loc_start.Lexing.pos_cnum)
-         in
-         if not (Hashtbl.mem seen key) then begin
-           Hashtbl.add seen key ();
-           Rule.report ctx ~rule:name ~severity ~waiver:name ~loc
-             "Curve.add inside a loop; accumulate into a Curve.Builder \
-              and build once"
-         end
-       | _ -> ());
-      Ast_iterator.default_iterator.expr self e
-    in
-    let sub = { Ast_iterator.default_iterator with expr } in
-    sub.expr sub root
-
-  let hooks ctx prev =
-    if not (path_in_core ctx.Rule.filename) then prev
-    else begin
-      let seen = Hashtbl.create 8 in
-      on_expr prev (fun e ->
-          match e.pexp_desc with
-          | Pexp_for (_, _, _, _, body) | Pexp_while (_, body) ->
-            scan ctx seen body
-          | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, args)
-            when is_iterish txt ->
-            List.iter (fun (_, arg) -> scan ctx seen arg) args
-          | _ -> ())
-    end
-
-  let files = Rule.no_files
-end
-
-(* R8 — no Curve.Builder.create inside loops in the DP hot paths
-   (lib/core and lib/lttree).  The arena discipline (DESIGN.md §9) is
-   one long-lived builder per DP context, cleared between batches, so
-   steady-state builds allocate only their survivor arrays; a create
-   inside a for/while body or an iter/fold callback reallocates the
-   push storage and the sort/staircase scratch on every batch and
+(* R7 — no Curve.Builder.create inside loops in the DP hot paths
+   (lib/core, lib/lttree and lib/ginneken).  The arena discipline
+   (DESIGN.md §9) is one long-lived builder per DP context, cleared
+   between batches, so steady-state builds allocate only their
+   survivor arrays; a create inside a for/while body, an iter/fold
+   callback or a [let rec] body (one call per tree node) reallocates
+   the push storage and the sort/staircase scratch on every batch and
    silently reverts the zero-allocation kernel.  Deliberate per-batch
    builders carry a same-line [lint: builder-create-in-loop] waiver. *)
 module Builder_create_in_loop = struct
@@ -361,13 +287,16 @@ module Builder_create_in_loop = struct
   let severity = Finding.Error
 
   let doc =
-    "Curve.Builder.create inside a loop or iter/fold callback in a DP \
-     hot path; hoist one builder out and clear it between batches"
+    "Curve.Builder.create inside a loop, iter/fold callback or let rec \
+     in a DP hot path; hoist one builder out and clear it between \
+     batches"
 
   let path_in_hot path =
     Rule.path_in_lib path
     && List.exists
-         (fun seg -> String.equal "core" seg || String.equal "lttree" seg)
+         (fun seg ->
+            String.equal "core" seg || String.equal "lttree" seg
+            || String.equal "ginneken" seg)
          (String.split_on_char '/' path)
 
   let is_builder_create = function
@@ -398,8 +327,8 @@ module Builder_create_in_loop = struct
          if not (Hashtbl.mem seen key) then begin
            Hashtbl.add seen key ();
            Rule.report ctx ~rule:name ~severity ~waiver:name ~loc
-             "Curve.Builder.create inside a loop; hoist the builder out \
-              and clear it between batches"
+             "Curve.Builder.create inside a loop or recursive function; \
+              hoist the builder out and clear it between batches"
          end
        | _ -> ());
       Ast_iterator.default_iterator.expr self e
@@ -411,14 +340,27 @@ module Builder_create_in_loop = struct
     if not (path_in_hot ctx.Rule.filename) then prev
     else begin
       let seen = Hashtbl.create 8 in
-      on_expr prev (fun e ->
-          match e.pexp_desc with
-          | Pexp_for (_, _, _, _, body) | Pexp_while (_, body) ->
-            scan ctx seen body
-          | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, args)
-            when is_iterish txt ->
-            List.iter (fun (_, arg) -> scan ctx seen arg) args
-          | _ -> ())
+      let scan_rec vbs =
+        List.iter (fun vb -> scan ctx seen vb.pvb_expr) vbs
+      in
+      let with_expr =
+        on_expr prev (fun e ->
+            match e.pexp_desc with
+            | Pexp_for (_, _, _, _, body) | Pexp_while (_, body) ->
+              scan ctx seen body
+            | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, args)
+              when is_iterish txt ->
+              List.iter (fun (_, arg) -> scan ctx seen arg) args
+            | Pexp_let (Asttypes.Recursive, vbs, _) -> scan_rec vbs
+            | _ -> ())
+      in
+      let structure_item self item =
+        (match item.pstr_desc with
+         | Pstr_value (Asttypes.Recursive, vbs) -> scan_rec vbs
+         | _ -> ());
+        with_expr.Ast_iterator.structure_item self item
+      in
+      { with_expr with Ast_iterator.structure_item }
     end
 
   let files = Rule.no_files
@@ -431,5 +373,4 @@ let all : (module Rule.S) list =
     (module Error_prefix);
     (module Catch_all);
     (module Mli_sibling);
-    (module Curve_add_in_loop);
     (module Builder_create_in_loop) ]

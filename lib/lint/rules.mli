@@ -1,4 +1,4 @@
-(** The project rule set, R1–R6 (see DESIGN.md "Correctness tooling").
+(** The project rule set, R1–R7 (see DESIGN.md "Correctness tooling").
 
     - R1 [poly-compare]: no polymorphic [=]/[<>]/[compare] on structured
       data (syntactic check on the untyped parsetree).
@@ -10,6 +10,9 @@
       ["Module.function:"].
     - R5 [catch-all]: no [try ... with _ ->].
     - R6 [mli-sibling]: every [lib/**/*.ml] has a sibling [.mli].
+    - R7 [builder-create-in-loop]: no [Curve.Builder.create] inside a
+      loop, an iter/fold callback or a [let rec] body in [lib/core],
+      [lib/lttree] or [lib/ginneken].
 
     Every rule accepts a same-line comment waiver carrying
     [lint: <rule-name>]; the driver reports waivers that suppress

@@ -117,15 +117,13 @@ let curve ~buffers ~max_fanout sinks =
   Curve.Builder.build ~name:"Lttree.root" out
 
 let best ~buffers ~max_fanout ~driver sinks =
-  let c = curve ~buffers ~max_fanout sinks in
-  let with_driver =
-    Curve.map_solutions
-      (fun s ->
-         { s with
-           Solution.req =
-             s.Solution.req -. Delay_model.delay driver ~load:s.Solution.load })
-      c
-  in
-  match Curve.best_req with_driver with
+  let bld = Curve.Builder.create () in
+  Curve.iter
+    (fun s ->
+       let gate = Delay_model.delay driver ~load:s.Solution.load in
+       Curve.Builder.push bld ~req:(s.Solution.req -. gate)
+         ~load:s.Solution.load ~area:s.Solution.area s.Solution.data)
+    (curve ~buffers ~max_fanout sinks);
+  match Curve.best_req (Curve.Builder.build ~name:"Lttree.to_driver" bld) with
   | Some s -> s
   | None -> assert false (* curve is never empty for nonempty sinks *)

@@ -29,9 +29,6 @@ type plan = { root_directs : Sink.t list; root_chain : chain option }
 
 val plan_sinks : plan -> Sink.t list
 
-(** Sinks transitively driven by a chain link, level order. *)
-val chain_sinks : chain -> Sink.t list
-
 val plan_area : plan -> float
 
 val n_levels : plan -> int

@@ -1,5 +1,4 @@
 open Merlin_geometry
-open Merlin_tech
 
 type t = { id : int; pt : Point.t; cap : float; req : float }
 
@@ -7,9 +6,6 @@ let make ~id ~pt ~cap ~req = { id; pt; cap; req }
 
 let equal a b =
   a.id = b.id && Point.equal a.pt b.pt && a.cap = b.cap && a.req = b.req
-
-let of_buffer ~id ~pt ~req b =
-  { id; pt; cap = b.Buffer_lib.input_cap; req }
 
 let pp ppf s =
   Format.fprintf ppf "s%d@%a cap=%.2f req=%.1f" s.id Point.pp s.pt s.cap s.req

@@ -2,7 +2,6 @@
     (paper Section III.1, item 2). *)
 
 open Merlin_geometry
-open Merlin_tech
 
 type t = {
   id : int;           (** stable identifier, unique within a net *)
@@ -14,9 +13,5 @@ type t = {
 val make : id:int -> pt:Point.t -> cap:float -> req:float -> t
 
 val equal : t -> t -> bool
-
-(** [of_buffer ~id ~pt ~req b] is the sink presented by the input pin of
-    buffer [b] placed at [pt]. *)
-val of_buffer : id:int -> pt:Point.t -> req:float -> Buffer_lib.buffer -> t
 
 val pp : Format.formatter -> t -> unit

@@ -37,9 +37,6 @@ val sinks_in_order : t -> Sink.t list
 
 val sink_ids_in_order : t -> int list
 
-(** All buffers used in the tree. *)
-val buffers : t -> Buffer_lib.buffer list
-
 val n_buffers : t -> int
 
 (** Total buffer area (1000 lambda^2). *)

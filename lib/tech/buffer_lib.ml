@@ -48,7 +48,3 @@ let strongest lib =
        if b.model.Delay_model.r_drive < acc.model.Delay_model.r_drive then b
        else acc)
     lib.(0) lib
-
-let pp_buffer ppf b =
-  Format.fprintf ppf "%s area=%.2f cin=%.2ffF %a" b.name b.area b.input_cap
-    Delay_model.pp b.model

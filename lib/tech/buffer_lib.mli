@@ -32,5 +32,3 @@ val weakest : t -> buffer
 
 (** Strongest (lowest drive resistance) buffer. *)
 val strongest : t -> buffer
-
-val pp_buffer : Format.formatter -> buffer -> unit

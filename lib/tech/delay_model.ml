@@ -13,7 +13,3 @@ let delay_slew t ~load ~slew_in =
   (d, slew_out)
 
 let delay t ~load = fst (delay_slew t ~load ~slew_in:nominal_slew)
-
-let pp ppf t =
-  Format.fprintf ppf "d0=%.1fps r=%.0fohm ks=%.2f s0=%.1fps" t.d0 t.r_drive
-    t.k_slew t.s0

@@ -24,9 +24,6 @@ type t = {
 
 val make : d0:float -> r_drive:float -> k_slew:float -> s0:float -> t
 
-(** Nominal input slew (ps) assumed by the dynamic programs. *)
-val nominal_slew : float
-
 (** [delay t ~load] is the gate delay in ps at nominal input slew for a
     [load] in fF. *)
 val delay : t -> load:float -> float
@@ -34,5 +31,3 @@ val delay : t -> load:float -> float
 (** [delay_slew t ~load ~slew_in] is the full 4-parameter evaluation,
     returning [(delay, slew_out)]. *)
 val delay_slew : t -> load:float -> slew_in:float -> float * float
-
-val pp : Format.formatter -> t -> unit

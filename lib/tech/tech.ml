@@ -21,7 +21,3 @@ let wire_elmore t ~len ~load =
   let r = wire_res t len in
   let c = wire_cap t len in
   ps_per_ohm_ff *. r *. ((c /. 2.0) +. load)
-
-let pp ppf t =
-  Format.fprintf ppf "%s (r=%g ohm/u, c=%g fF/u)" t.name t.unit_wire_res
-    t.unit_wire_cap

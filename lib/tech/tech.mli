@@ -26,10 +26,6 @@ val default : t
 (** [ps_per_ohm_ff] converts ohm*fF products to picoseconds (1e-3). *)
 val ps_per_ohm_ff : float
 
-(** [wire_res t len] is the total resistance of a wire of [len] grid
-    units. *)
-val wire_res : t -> int -> float
-
 (** [wire_cap t len] is the total capacitance of a wire of [len] grid
     units. *)
 val wire_cap : t -> int -> float
@@ -38,5 +34,3 @@ val wire_cap : t -> int -> float
     of [len] grid units driving [load] fF:
     R_w * (C_w / 2 + load) scaled to ps. *)
 val wire_elmore : t -> len:int -> load:float -> float
-
-val pp : Format.formatter -> t -> unit

@@ -1,19 +1,25 @@
-(* R7 fixture: per-candidate Curve.add inside loops in the DP core. *)
+(* R7 fixture: per-batch Curve.Builder.create inside loops in a DP hot
+   path — the arena discipline hoists one builder per context instead. *)
 
-let fold_fill curve sols =
-  List.fold_left (fun acc s -> Curve.add acc s) curve sols
+let iter_build cells =
+  List.iter
+    (fun cell ->
+       let bld = Curve.Builder.create () in
+       ignore (Curve.Builder.build (fill bld cell)))
+    cells
 
-let iter_fill curve sols =
-  let acc = ref curve in
-  List.iter (fun s -> acc := Curve.add !acc s) sols;
-  !acc
+let loop_build cells =
+  for i = 0 to Array.length cells - 1 do
+    let bld = Curve.Builder.create () in
+    ignore (Curve.Builder.build (fill bld cells.(i)))
+  done
 
-let loop_fill curve arr =
-  let acc = ref curve in
-  for i = 0 to Array.length arr - 1 do
-    acc := Curve.add !acc arr.(i)
-  done;
-  !acc
+(* A recursive walk that creates a builder per call makes one per tree
+   node. *)
+let rec walk_build t =
+  let bld = Curve.Builder.create () in
+  ignore (Curve.Builder.build (fill bld t));
+  List.iter walk_build t.kids
 
-(* A single insert outside any loop is the sanctioned use and passes. *)
-let single curve s = Curve.add curve s
+(* A builder created once, outside any loop, is the sanctioned use. *)
+let hoisted () = Curve.Builder.create ()

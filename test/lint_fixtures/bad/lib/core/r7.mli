@@ -1,7 +1,7 @@
-val fold_fill : 'a -> 'b list -> 'a
+val iter_build : 'a list -> unit
 
-val iter_fill : 'a -> 'b list -> 'a
+val loop_build : 'a array -> unit
 
-val loop_fill : 'a -> 'b array -> 'a
+val walk_build : 'a -> unit
 
-val single : 'a -> 'b -> 'a
+val hoisted : unit -> 'b Curve.Builder.b

@@ -88,7 +88,7 @@ let test_catree_basics () =
 
 let test_objective () =
   let sol r a = Solution.make ~req:r ~load:1.0 ~area:a () in
-  let c = Curve.of_list [ sol 10.0 8.0; sol 6.0 3.0; sol 2.0 1.0 ] in
+  let c = Test_curves.of_list [ sol 10.0 8.0; sol 6.0 3.0; sol 2.0 1.0 ] in
   let req o = (Option.get (Objective.choose o c)).Solution.req in
   Alcotest.(check (float 0.0)) "best req" 10.0 (req Objective.Best_req);
   Alcotest.(check (float 0.0)) "variant I" 6.0

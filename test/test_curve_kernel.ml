@@ -5,7 +5,9 @@ open Merlin_curves
    (Curve_reference).  Payloads are the push indices, so the properties
    check not just the frontier coordinates but which candidate won each
    tie — the batch kernel must keep the first-pushed among equal keys,
-   exactly like folding Curve_reference.add over the same sequence. *)
+   exactly like folding Curve_reference.add over the same sequence.
+   Every curve here is built through Curve.Builder, the only
+   construction path. *)
 
 let sol ~data req load area = Solution.make ~req ~load ~area data
 
@@ -37,13 +39,15 @@ let obs_ref c =
     (fun s -> (s.Solution.req, s.Solution.load, s.Solution.area, s.Solution.data))
     (Curve_reference.to_list c)
 
+let of_list = Test_curves.of_list
+
 let qtest name ?(count = 500) arb prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~name ~count arb prop)
 
 let equiv =
   [ qtest "of_list = reference (coords and tie winners)" arb_bag (fun bag ->
         let sols = bag_to_sols bag in
-        obs (Curve.of_list sols) = obs_ref (Curve_reference.of_list sols));
+        obs (of_list sols) = obs_ref (Curve_reference.of_list sols));
     qtest "Builder.build = reference fold add" arb_bag (fun bag ->
         let sols = bag_to_sols bag in
         let bld = Curve.Builder.create () in
@@ -51,34 +55,35 @@ let equiv =
         obs (Curve.Builder.build bld)
         = obs_ref
             (List.fold_left Curve_reference.add Curve_reference.empty sols));
-    qtest "incremental add = reference add" arb_bag (fun bag ->
-        let sols = bag_to_sols bag in
-        obs (List.fold_left Curve.add Curve.empty sols)
-        = obs_ref
-            (List.fold_left Curve_reference.add Curve_reference.empty sols));
-    qtest "union = reference union" (QCheck.pair arb_bag arb_bag)
+    qtest "add_curve twice = reference union" (QCheck.pair arb_bag arb_bag)
       (fun (ba, bb) ->
          let sa = bag_to_sols ba
          and sb = List.mapi (fun i (r, l, a) -> sol ~data:(1000 + i) r l a) bb in
-         obs (Curve.union (Curve.of_list sa) (Curve.of_list sb))
+         let bld = Curve.Builder.create () in
+         Curve.Builder.add_curve bld (of_list sa);
+         Curve.Builder.add_curve bld (of_list sb);
+         obs (Curve.Builder.build bld)
          = obs_ref
              (Curve_reference.union (Curve_reference.of_list sa)
                 (Curve_reference.of_list sb)));
-    qtest "quantise = reference quantise" arb_bag (fun bag ->
+    qtest "build ~grids of a curve = reference quantise" arb_bag (fun bag ->
         let sols = bag_to_sols bag in
-        obs
-          (Curve.quantise ~req_grid:3.0 ~load_grid:2.0 ~area_grid:5.0
-             (Curve.of_list sols))
+        let bld = Curve.Builder.create () in
+        Curve.Builder.add_curve bld (of_list sols);
+        obs (Curve.Builder.build ~grids:(3.0, 2.0, 5.0) bld)
         = obs_ref
             (Curve_reference.quantise ~req_grid:3.0 ~load_grid:2.0
                ~area_grid:5.0
                (Curve_reference.of_list sols)));
-    qtest "quantise_load = reference" arb_bag (fun bag ->
-        let sols = bag_to_sols bag in
-        obs (Curve.quantise_load ~grid:2.5 (Curve.of_list sols))
-        = obs_ref
-            (Curve_reference.quantise_load ~grid:2.5
-               (Curve_reference.of_list sols)));
+    qtest "build ~grids (load only) = reference quantise_load" arb_bag
+      (fun bag ->
+         let sols = bag_to_sols bag in
+         let bld = Curve.Builder.create () in
+         Curve.Builder.add_curve bld (of_list sols);
+         obs (Curve.Builder.build ~grids:(0.0, 2.5, 0.0) bld)
+         = obs_ref
+             (Curve_reference.quantise_load ~grid:2.5
+                (Curve_reference.of_list sols)));
     qtest "build ~grids = quantise-then-add reference" arb_bag (fun bag ->
         (* The fused quantise-during-sweep path of the DP cores: pushing
            raw costs with grids must equal quantising each candidate and
@@ -96,27 +101,35 @@ let equiv =
             Curve_reference.empty sols
         in
         obs batch = obs_ref reference);
-    qtest "map_solutions = reference map_solutions" arb_bag (fun bag ->
-        let sols = bag_to_sols bag in
-        let shift s =
-          { s with Solution.req = s.Solution.req +. 1.0;
-                   Solution.load = s.Solution.load *. 2.0 }
-        in
-        let a = Curve.map_solutions shift (Curve.of_list sols)
-        and b =
-          Curve_reference.map_solutions shift (Curve_reference.of_list sols)
-        in
-        Curve.size a = Curve_reference.size b && obs a = obs_ref b);
+    qtest "cleared, reused builder = reference map_solutions"
+      (QCheck.pair arb_bag arb_bag)
+      (fun (b0, bag) ->
+         (* The van Ginneken walk: one builder, cleared between batches,
+            rebuilds each curve pushed through a wire or a buffer. *)
+         let shift s =
+           { s with Solution.req = s.Solution.req +. 1.0;
+                    Solution.load = s.Solution.load *. 2.0 }
+         in
+         let sols = bag_to_sols bag in
+         let bld = Curve.Builder.create () in
+         List.iter (Curve.Builder.add bld) (bag_to_sols b0);
+         ignore (Curve.Builder.build bld);
+         Curve.Builder.clear bld;
+         Curve.iter (fun s -> Curve.Builder.add bld (shift s)) (of_list sols);
+         obs (Curve.Builder.build bld)
+         = obs_ref
+             (Curve_reference.map_solutions shift
+                (Curve_reference.of_list sols)));
     qtest "cap = reference cap" arb_bag (fun bag ->
         let sols = bag_to_sols bag in
-        obs (Curve.cap ~max_size:5 (Curve.of_list sols))
+        obs (Curve.cap ~max_size:5 (of_list sols))
         = obs_ref
             (Curve_reference.cap ~max_size:5 (Curve_reference.of_list sols)));
     qtest "best_min_area early-exit = reference fold"
       (QCheck.pair arb_bag (QCheck.float_range 0.0 9.0))
       (fun (bag, req) ->
          let sols = bag_to_sols bag in
-         let a = Curve.best_min_area (Curve.of_list sols) ~req
+         let a = Curve.best_min_area (of_list sols) ~req
          and b =
            Curve_reference.best_min_area (Curve_reference.of_list sols) ~req
          in
@@ -216,7 +229,7 @@ let test_cap_preserves_extremes () =
             (float_of_int (Random.State.int rand 40))
             (float_of_int (Random.State.int rand 40)))
     in
-    let c = Curve.of_list bag in
+    let c = of_list bag in
     if Curve.size c > 6 then begin
       let capped = Curve.cap ~max_size:6 c in
       let full = Curve.to_list c and kept = Curve.to_list capped in

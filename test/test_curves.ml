@@ -12,6 +12,15 @@ let arb_sol =
 
 let arb_sols = QCheck.list_of_size (QCheck.Gen.int_range 0 40) arb_sol
 
+(* The one fixture helper: a curve from a solution list, through the
+   builder every production curve goes through. *)
+let of_list ?grids sols =
+  let b = Curve.Builder.create () in
+  List.iter (Curve.Builder.add b) sols;
+  Curve.Builder.build ?grids b
+
+let grids = (3.0, 2.0, 5.0)
+
 let qtest name ?(count = 300) arb prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~name ~count arb prop)
 
@@ -54,20 +63,20 @@ let test_dominates () =
   Alcotest.(check bool) "self" true (Solution.dominates a a)
 
 let test_add_prunes () =
-  let c = Curve.of_list [ sol 10.0 2.0 3.0; sol 8.0 4.0 5.0 ] in
+  let c = of_list [ sol 10.0 2.0 3.0; sol 8.0 4.0 5.0 ] in
   Alcotest.(check int) "dominated dropped" 1 (Curve.size c);
-  let c = Curve.add c (sol 12.0 1.0 1.0) in
+  let c = of_list (sol 12.0 1.0 1.0 :: Curve.to_list c) in
   Alcotest.(check int) "new dominator replaces" 1 (Curve.size c)
 
 let test_incomparable_kept () =
   let c =
-    Curve.of_list [ sol 10.0 2.0 3.0; sol 12.0 5.0 3.0; sol 8.0 2.0 1.0 ]
+    of_list [ sol 10.0 2.0 3.0; sol 12.0 5.0 3.0; sol 8.0 2.0 1.0 ]
   in
   Alcotest.(check int) "three incomparable" 3 (Curve.size c)
 
 let test_best_queries () =
   let c =
-    Curve.of_list
+    of_list
       [ sol ~data:1 10.0 2.0 8.0; sol ~data:2 7.0 2.0 4.0; sol ~data:3 4.0 2.0 1.0 ]
   in
   let req s = s.Solution.req in
@@ -84,7 +93,7 @@ let test_best_queries () =
 
 let test_cap_keeps_extremes () =
   (* A genuine 20-point frontier: req and load grow together. *)
-  let c = Curve.of_list (List.init 20 (fun i ->
+  let c = of_list (List.init 20 (fun i ->
       sol (float_of_int i) (float_of_int i) 0.0)) in
   Alcotest.(check int) "full frontier" 20 (Curve.size c);
   let capped = Curve.cap ~max_size:5 c in
@@ -96,15 +105,14 @@ let test_cap_keeps_extremes () =
 let test_cap_keeps_min_area () =
   (* req up, load up, area up: min area is the last element and must be
      kept (the van Ginneken "unbuffered variant survives" guarantee). *)
-  let c = Curve.of_list (List.init 30 (fun i ->
+  let c = of_list (List.init 30 (fun i ->
       sol (float_of_int i) (float_of_int i) (float_of_int i))) in
   let capped = Curve.cap ~max_size:6 c in
   let areas = List.map (fun s -> s.Solution.area) (Curve.to_list capped) in
   Alcotest.(check bool) "min area kept" true (List.mem 0.0 areas)
 
 let test_quantise_pessimistic () =
-  let c = Curve.of_list [ sol 9.9 2.1 3.3 ] in
-  let q = Curve.quantise ~req_grid:2.0 ~load_grid:1.0 ~area_grid:2.0 c in
+  let q = of_list ~grids:(2.0, 1.0, 2.0) [ sol 9.9 2.1 3.3 ] in
   match Curve.to_list q with
   | [ s ] ->
     Alcotest.(check (float 0.0)) "req down" 8.0 s.Solution.req;
@@ -114,57 +122,54 @@ let test_quantise_pessimistic () =
 
 let props =
   [ qtest "of_list is a frontier" arb_sols (fun sols ->
-        Curve.is_frontier (Curve.of_list sols));
+        Curve.is_frontier (of_list sols));
     qtest "of_list matches brute force frontier size" arb_sols (fun sols ->
-        Curve.size (Curve.of_list sols)
+        Curve.size (of_list sols)
         = List.length (brute_frontier sols));
     qtest "add keeps the best req" arb_sols (fun sols ->
         List.is_empty sols
         ||
-        let c = Curve.of_list sols in
+        let c = of_list sols in
         let best =
           List.fold_left (fun acc s -> max acc s.Solution.req) neg_infinity sols
         in
         (Option.get (Curve.best_req c)).Solution.req = best);
-    qtest "union = of_list of concat" (QCheck.pair arb_sols arb_sols)
+    qtest "merged curves = of_list of concat" (QCheck.pair arb_sols arb_sols)
       (fun (a, b) ->
-         let u = Curve.union (Curve.of_list a) (Curve.of_list b) in
-         Curve.size u = Curve.size (Curve.of_list (a @ b)));
+         let u = of_list (Curve.to_list (of_list a) @ Curve.to_list (of_list b)) in
+         Curve.size u = Curve.size (of_list (a @ b)));
     qtest "cap never exceeds" arb_sols (fun sols ->
-        Curve.size (Curve.cap ~max_size:4 (Curve.of_list sols)) <= 4);
-    qtest "quantise still a frontier" arb_sols (fun sols ->
-        Curve.is_frontier
-          (Curve.quantise ~req_grid:3.0 ~load_grid:2.0 ~area_grid:5.0
-             (Curve.of_list sols)));
+        Curve.size (Curve.cap ~max_size:4 (of_list sols)) <= 4);
+    qtest "build ~grids still a frontier" arb_sols (fun sols ->
+        Curve.is_frontier (of_list ~grids sols));
     qtest "of_list satisfies curve invariants" arb_sols (fun sols ->
-        invariants (Curve.of_list sols));
-    qtest "union satisfies curve invariants" (QCheck.pair arb_sols arb_sols)
+        invariants (of_list sols));
+    qtest "merged curves satisfy curve invariants"
+      (QCheck.pair arb_sols arb_sols)
       (fun (a, b) ->
-         invariants (Curve.union (Curve.of_list a) (Curve.of_list b)));
+         invariants
+           (of_list (Curve.to_list (of_list a) @ Curve.to_list (of_list b))));
     qtest "cap satisfies curve invariants" arb_sols (fun sols ->
-        invariants (Curve.cap ~max_size:4 (Curve.of_list sols)));
-    qtest "quantise satisfies curve invariants" arb_sols (fun sols ->
-        invariants
-          (Curve.quantise ~req_grid:3.0 ~load_grid:2.0 ~area_grid:5.0
-             (Curve.of_list sols)));
-    qtest "quantise_load satisfies curve invariants" arb_sols (fun sols ->
-        invariants (Curve.quantise_load ~grid:2.5 (Curve.of_list sols)));
+        invariants (Curve.cap ~max_size:4 (of_list sols)));
+    qtest "build ~grids satisfies curve invariants" arb_sols (fun sols ->
+        invariants (of_list ~grids sols));
+    qtest "build ~grids (load only) satisfies curve invariants" arb_sols
+      (fun sols -> invariants (of_list ~grids:(0.0, 2.5, 0.0) sols));
     qtest "operations pass enabled contracts" (QCheck.pair arb_sols arb_sols)
       (fun (a, b) ->
          Contract.set_enabled true;
          Fun.protect
            ~finally:(fun () -> Contract.set_enabled false)
            (fun () ->
-              let c = Curve.union (Curve.of_list a) (Curve.of_list b) in
-              let c = Curve.cap ~max_size:4 c in
               let c =
-                Curve.quantise ~req_grid:3.0 ~load_grid:2.0 ~area_grid:5.0 c
+                of_list (Curve.to_list (of_list a) @ Curve.to_list (of_list b))
               in
-              invariants c));
+              let c = Curve.cap ~max_size:4 c in
+              invariants (of_list ~grids (Curve.to_list c))));
     qtest "best_under_area matches brute force"
       (QCheck.pair arb_sols (QCheck.float_range 0.0 20.0))
       (fun (sols, budget) ->
-         let c = Curve.of_list sols in
+         let c = of_list sols in
          let brute =
            List.filter (fun s -> s.Solution.area <= budget) (Curve.to_list c)
            |> List.fold_left
@@ -194,12 +199,9 @@ let test_contract_rejects () =
             "Contract.check: unit: curve holds an inferior solution")
          (fun () ->
             ignore (Contract.check ~name:"unit" [ sol 5.0 0.0 0.0; sol 1.0 1.0 1.0 ]));
-       (* Sorted frontier passes both check flavours. *)
        let ok = [ sol 5.0 0.0 1.0; sol 1.0 0.0 0.0 ] in
        Alcotest.(check int) "valid curve accepted" 2
-         (List.length (Contract.check ~name:"unit" ok));
-       Alcotest.(check int) "sorted check accepts" 2
-         (List.length (Contract.check_sorted ~name:"unit" ok)))
+         (List.length (Contract.check ~name:"unit" ok)))
 
 let test_contract_disabled () =
   Contract.set_enabled false;

@@ -74,6 +74,23 @@ let test_merlin_beats_or_matches_flow1 () =
          (m3.Flows.root_req >= m1.Flows.root_req -. 1.0))
     [ 2; 7; 12 ]
 
+(* Flows I and II pinned: the metrics with the tree (runtime zeroed),
+   one JSON document per line, must match the golden byte for byte. *)
+let test_flows_golden () =
+  let net = Net_gen.random_net ~seed:5 ~name:"golden" ~n:7 tech in
+  let line name =
+    let algo = Option.get (Flows.default_algo name) in
+    let m = { (run algo net) with Flows.runtime = 0.0 } in
+    Merlin_report.Json.to_string
+      (Merlin_report.Metrics.to_json (Flows.wire_metrics ~with_tree:true m))
+    ^ "\n"
+  in
+  let expected =
+    In_channel.with_open_bin "flows_golden_r7s5.expected" In_channel.input_all
+  in
+  Alcotest.(check string) "flows I and II = golden" expected
+    (line "lttree-ptree" ^ line "ptree-vg")
+
 let suite =
   ( "flows",
     [ Alcotest.test_case "all flows valid" `Slow test_all_flows_valid;
@@ -81,4 +98,5 @@ let suite =
         test_flow_metrics_consistent_with_eval;
       Alcotest.test_case "flow1 single sink" `Quick test_flow1_single_sink;
       Alcotest.test_case "flow3 loops" `Quick test_flow3_reports_loops;
-      Alcotest.test_case "merlin >= flow1" `Slow test_merlin_beats_or_matches_flow1 ] )
+      Alcotest.test_case "merlin >= flow1" `Slow test_merlin_beats_or_matches_flow1;
+      Alcotest.test_case "flows I and II golden" `Quick test_flows_golden ] )

@@ -1,4 +1,4 @@
-(* merlin_lint rule tests: for each rule R1-R6 a known-bad snippet that
+(* merlin_lint rule tests: for each rule R1-R7 a known-bad snippet that
    must be flagged (with the right rule and line) and a known-good
    snippet that must pass.  The executable-level exit codes are checked
    by the fixture rules in test/dune over test/lint_fixtures/. *)
@@ -65,31 +65,6 @@ let test_catch_all () =
   check_spans "specific exception passes" [] ~filename:"lib/fix.ml"
     "let safe f = try f () with Not_found -> 0\n"
 
-let test_curve_add_in_loop () =
-  check_spans "fold callback flagged in core" [ ("curve-add-in-loop", 1) ]
-    ~filename:"lib/core/fix.ml"
-    "let f c sols = List.fold_left (fun acc s -> Curve.add acc s) c sols\n";
-  check_spans "iter callback flagged in core" [ ("curve-add-in-loop", 1) ]
-    ~filename:"lib/core/fix.ml"
-    "let f acc sols = Array.iter (fun s -> acc := Curve.add !acc s) sols\n";
-  check_spans "for-loop body flagged in core" [ ("curve-add-in-loop", 3) ]
-    ~filename:"lib/core/fix.ml"
-    "let f c arr =\n\
-    \  let acc = ref c in\n\
-    \  for i = 0 to 3 do acc := Curve.add !acc arr.(i) done;\n\
-    \  !acc\n";
-  check_spans "nested loops report the site once" [ ("curve-add-in-loop", 2) ]
-    ~filename:"lib/core/fix.ml"
-    "let f acc l r =\n\
-    \  List.iter (fun a -> List.iter (fun b -> acc := Curve.add !acc (a, b)) r) l\n";
-  check_spans "single add outside loops passes" [] ~filename:"lib/core/fix.ml"
-    "let f c s = Curve.add c s\n";
-  check_spans "outside lib/core passes" [] ~filename:"lib/curves/fix.ml"
-    "let f acc sols = List.iter (fun s -> acc := Curve.add !acc s) sols\n";
-  check_spans "waiver accepted" [] ~filename:"lib/core/fix.ml"
-    "let f acc sols =\n\
-    \  List.iter (fun s -> acc := Curve.add !acc s) sols (* l\105nt: curve-add-in-loop *)\n"
-
 let test_builder_create_in_loop () =
   check_spans "iter callback flagged in core" [ ("builder-create-in-loop", 2) ]
     ~filename:"lib/core/fix.ml"
@@ -110,6 +85,34 @@ let test_builder_create_in_loop () =
   check_spans "waiver accepted" [] ~filename:"lib/core/fix.ml"
     "let f l =\n\
     \  List.iter (fun _ -> ignore (Curve.Builder.create ())) l (* l\105nt: builder-create-in-loop *)\n"
+
+(* A [let rec] body runs once per recursive call, so it counts as a loop. *)
+let test_builder_create_in_let_rec () =
+  check_spans "top-level let rec flagged in lttree"
+    [ ("builder-create-in-loop", 1) ]
+    ~filename:"lib/lttree/fix.ml"
+    "let rec f i = if i > 0 then (ignore (Curve.Builder.create ()); f (i - 1))\n"
+
+(* [lib/ginneken] is a hot path: one builder per tree node fires... *)
+let test_builder_per_node_ginneken () =
+  check_spans "per-node builder in a let rec flagged in ginneken"
+    [ ("builder-create-in-loop", 3) ]
+    ~filename:"lib/ginneken/fix.ml"
+    "let curve tree =\n\
+    \  let rec walk t =\n\
+    \    let bld = Curve.Builder.create () in\n\
+    \    fill bld t; List.iter walk t.kids\n\
+    \  in\n\
+    \  walk tree\n"
+
+(* ...one builder per walk, cleared for every batch, passes. *)
+let test_builder_per_walk_ginneken () =
+  check_spans "per-walk builder passes in ginneken" []
+    ~filename:"lib/ginneken/fix.ml"
+    "let curve tree =\n\
+    \  let bld = Curve.Builder.create () in\n\
+    \  let rec walk t = Curve.Builder.clear bld; List.iter walk t.kids in\n\
+    \  walk tree\n"
 
 let write_file path text =
   let oc = open_out path in
@@ -167,8 +170,13 @@ let suite =
       Alcotest.test_case "R4 error-prefix" `Quick test_error_prefix;
       Alcotest.test_case "R5 catch-all" `Quick test_catch_all;
       Alcotest.test_case "R6 mli-sibling" `Quick test_mli_sibling;
-      Alcotest.test_case "R7 curve-add-in-loop" `Quick test_curve_add_in_loop;
-      Alcotest.test_case "R8 builder-create-in-loop" `Quick
+      Alcotest.test_case "R7 builder-create-in-loop" `Quick
         test_builder_create_in_loop;
+      Alcotest.test_case "R7 let rec body is a loop" `Quick
+        test_builder_create_in_let_rec;
+      Alcotest.test_case "R7 per-node builder in ginneken fires" `Quick
+        test_builder_per_node_ginneken;
+      Alcotest.test_case "R7 per-walk builder in ginneken passes" `Quick
+        test_builder_per_walk_ginneken;
       Alcotest.test_case "parse error reported" `Quick test_parse_error;
       Alcotest.test_case "rendering" `Quick test_render ] )
