@@ -759,26 +759,38 @@ let serve_table ~opts () =
   let manifest =
     List.map (fun (name, net) -> (name, Net_io.fingerprint net)) nets
   in
-  let (rows, restart_submitted), wall_s =
-    Clock.timed (fun () ->
-        let server1 = start "a" in
-        let c1 = Serve.Client.connect_unix (socket "a") in
-        let cold = run_row c1 ~row:"cold" nets in
-        let warm = run_row c1 ~row:"warm" nets in
-        let eco = run_row c1 ~row:"eco" ~manifest eco_nets in
-        Serve.Client.close c1;
-        Serve.Server.stop server1;
-        let server2 = start "b" in
-        let c2 = Serve.Client.connect_unix (socket "b") in
-        let restart = run_row c2 ~row:"restart" nets in
-        let restart_submitted =
-          serve_stat [ "pool"; "submitted" ] (serve_stats c2)
-        in
-        Serve.Client.close c2;
-        Serve.Server.stop server2;
-        ([ cold; warm; restart; eco ], restart_submitted))
+  (* A row that raises must still close its client, stop its daemon and
+     remove the store directory. *)
+  let with_daemon tag f =
+    let server = start tag in
+    Fun.protect
+      ~finally:(fun () -> Serve.Server.stop server)
+      (fun () ->
+         let client = Serve.Client.connect_unix (socket tag) in
+         Fun.protect
+           ~finally:(fun () -> Serve.Client.close client)
+           (fun () -> f client))
   in
-  rm_rf store_dir;
+  let (rows, restart_submitted), wall_s =
+    Fun.protect
+      ~finally:(fun () -> rm_rf store_dir)
+      (fun () ->
+         Clock.timed (fun () ->
+             let cold, warm, eco =
+               with_daemon "a" (fun c1 ->
+                   let cold = run_row c1 ~row:"cold" nets in
+                   let warm = run_row c1 ~row:"warm" nets in
+                   let eco = run_row c1 ~row:"eco" ~manifest eco_nets in
+                   (cold, warm, eco))
+             in
+             let restart, restart_submitted =
+               with_daemon "b" (fun c2 ->
+                   let restart = run_row c2 ~row:"restart" nets in
+                   ( restart,
+                     serve_stat [ "pool"; "submitted" ] (serve_stats c2) ))
+             in
+             ([ cold; warm; restart; eco ], restart_submitted)))
+  in
   progress "[serve] wall %.2fs (jobs=%d)" wall_s opts.jobs;
   let throughput (s : Serve.Wire.summary) =
     if s.Serve.Wire.wall_s > 0.0 then

@@ -15,7 +15,7 @@
    spec for the C4 inversion check (a ./lock-order.spec is picked up
    automatically); cycles are flagged with or without a spec.
    --rules restricts the run to a comma-separated subset of the
-   analysis rules, by code (C1-C9) or by name (nondet-in-task); the
+   analysis rules, by code (C1-C16) or by name (nondet-in-task); the
    driver diagnostics (missing-cmt, cmt-error, stale-baseline) always
    run.
 
@@ -33,20 +33,21 @@
    whatever the selected rules report past the baseline fails the
    run. *)
 
-module Finding = Merlin_lint.Finding
+module Finding = Merlin_check.Finding
+module Baseline = Merlin_check.Baseline
 
 let default_spec_file = "lock-order.spec"
 
 let stale_baseline_findings stale =
   List.map
-    (fun (e : Merlin_lint.Baseline.entry) ->
-       Finding.make ~file:e.Merlin_lint.Baseline.file ~line:1 ~col:0
+    (fun (e : Baseline.entry) ->
+       Finding.make ~file:e.Baseline.file ~line:1 ~col:0
          ~rule:"stale-baseline" ~severity:Finding.Warning
          (Printf.sprintf
             "baseline entry for [%s] no longer matches any finding (%d \
              unconsumed): %s"
-            e.Merlin_lint.Baseline.rule e.Merlin_lint.Baseline.count
-            e.Merlin_lint.Baseline.message))
+            e.Baseline.rule e.Baseline.count
+            e.Baseline.message))
     stale
 
 let () =
@@ -111,7 +112,7 @@ let () =
                        (Merlin_check.Check_driver.rule_code name)
                        ~default:"-")
                     name
-                    (Merlin_lint.Finding.severity_to_string sev)
+                    (Finding.severity_to_string sev)
                     doc)
                Merlin_check.Check_driver.rule_docs;
              exit 0),
@@ -166,7 +167,7 @@ let () =
     match !baseline with
     | None -> []
     | Some file -> (
-      match Merlin_lint.Baseline.load file with
+      match Baseline.load file with
       | Ok b -> b
       | Error msg ->
         prerr_endline ("merlin_check: --baseline " ^ file ^ ": " ^ msg);
@@ -176,17 +177,17 @@ let () =
   | findings -> (
     match !write_baseline with
     | Some file ->
-      Merlin_lint.Baseline.save file (Merlin_lint.Baseline.of_findings findings);
+      Baseline.save file (Baseline.of_findings findings);
       Printf.printf "merlin_check: wrote %d finding(s) to %s\n"
         (List.length findings) file
     | None ->
       let survivors, stale, live =
-        Merlin_lint.Baseline.apply_detailed baseline_entries findings
+        Baseline.apply_detailed baseline_entries findings
       in
       let stale_rendered, stale_open =
         if !prune then (
           (match !baseline with
-           | Some file -> Merlin_lint.Baseline.save file live
+           | Some file -> Baseline.save file live
            | None -> ());
           Printf.eprintf "merlin_check: pruned %d stale entr%s from %s\n"
             (List.length stale)

@@ -17,8 +17,6 @@
    that joins under a state lock on purpose) is waived in place with
    [check: blocking-ok]. *)
 
-module Finding = Merlin_lint.Finding
-
 let rule = "blocking-under-lock"
 
 let finding ~waivers (loc : Location.t) message =

@@ -24,8 +24,6 @@
    local-but-unresolvable), and keys built in another unit and passed
    in. *)
 
-module Finding = Merlin_lint.Finding
-
 let rule = "impure-cache-key"
 
 let token = "nondet-ok"

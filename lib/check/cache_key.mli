@@ -10,4 +10,4 @@ val check :
   waivers:Waivers.t ->
   purity:Purity.t ->
   Cmt_load.t list ->
-  Merlin_lint.Finding.t list
+  Finding.t list

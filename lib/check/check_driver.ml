@@ -1,6 +1,5 @@
-(* Orchestration for the typed tier: load cmt artifacts, run C1-C9,
-   audit typed-tier waivers, flag library sources with no artifact
-   (coverage guard), sort, render.
+(* Orchestration: load cmt artifacts, run C1-C16, audit waivers, flag
+   sources with no artifact (coverage guard), sort, render.
 
    The coverage guard matters because a cmt-based analyzer silently
    passes whatever was never compiled: a library source with no loaded
@@ -8,14 +7,12 @@
    unit's typedtree or says that it did not.
 
    Rule selection.  [analyze ~rules] restricts the run to a subset of
-   the analysis rules (C1-C9 by code or by name); the driver-level
+   the analysis rules (C1-C16 by code or by name); the driver-level
    diagnostics (missing-cmt, cmt-error, stale-baseline) always run —
    they are statements about the scan, not about the code.  The
    stale-waiver audit narrows itself to the active rules' tokens: a
    waiver for a deselected rule suppressed nothing *this run*, which
    proves nothing. *)
-
-module Finding = Merlin_lint.Finding
 
 let tool_name = "merlin_check"
 
@@ -77,7 +74,46 @@ let analysis_rules =
       "nondet-ok",
       Finding.Warning,
       "Hashtbl iteration order escapes without an intervening sort \
-       (waive: nondet-ok)" ) ]
+       (waive: nondet-ok)" );
+    ( "C10",
+      Hygiene.poly_compare,
+      Hygiene.poly_compare,
+      Finding.Error,
+      "polymorphic =/<>/compare at a non-scalar type; use a dedicated \
+       equal/compare or a pattern match" );
+    ( "C11",
+      Hygiene.raising_accessor,
+      Hygiene.raising_accessor,
+      Finding.Error,
+      "raising accessor (Hashtbl.find, List.hd, List.nth, Option.get) in \
+       lib/; use the _opt form or a pattern match" );
+    ( "C12",
+      Hygiene.physical_eq,
+      Hygiene.physical_eq,
+      Finding.Error,
+      "physical equality ==/!=; compare structurally" );
+    ( "C13",
+      Hygiene.error_prefix,
+      Hygiene.error_prefix,
+      Finding.Error,
+      "failwith/invalid_arg message must be prefixed \"Module.function:\"" );
+    ( "C14",
+      Hygiene.catch_all,
+      Hygiene.catch_all,
+      Finding.Error,
+      "catch-all try ... with _ ->; match specific exceptions" );
+    ( "C15",
+      Hygiene.mli_sibling,
+      Hygiene.mli_sibling,
+      Finding.Error,
+      "a lib/ unit has an implementation but no .mli interface" );
+    ( "C16",
+      Hygiene.builder_create_in_loop,
+      Hygiene.builder_create_in_loop,
+      Finding.Error,
+      "Curve.Builder.create inside a loop, iter/fold callback or let rec \
+       in a DP hot path; hoist one builder out and clear it between \
+       batches" ) ]
 
 let driver_rules =
   [ ( "stale-baseline",
@@ -86,11 +122,13 @@ let driver_rules =
        --prune-baseline" );
     ( "stale-waiver",
       Finding.Warning,
-      "a check: waiver that suppressed nothing this run" );
+      "a check: waiver that suppressed nothing this run, or names no \
+       rule" );
     ("cmt-error", Finding.Warning, "a cmt artifact failed to load");
     ( "missing-cmt",
       Finding.Warning,
-      "a library source has no cmt artifact in the scan — build first" ) ]
+      "a source under a --src-root has no cmt artifact in the scan — \
+       build first" ) ]
 
 (* (rule, severity, doc) across both groups, for --list-rules. *)
 let rule_docs =
@@ -127,7 +165,32 @@ let strip_dot_slash path =
     String.sub path 2 (String.length path - 2)
   else path
 
-(* Library sources the artifact scan never covered. *)
+(* Every .ml under [roots], sorted.  Build directories ([_build],
+   dot- and underscore-prefixed) are skipped, and so are [*_fixtures]
+   trees: they hold deliberately-bad analyzer inputs and are compiled
+   by the tests, not by the build. *)
+let collect_sources roots =
+  let skip_dir name =
+    (String.length name > 0 && (name.[0] = '.' || name.[0] = '_'))
+    || Filename.check_suffix name "_fixtures"
+  in
+  let rec walk acc path =
+    if Sys.is_directory path then
+      Array.to_list (Sys.readdir path)
+      |> List.fold_left
+           (fun acc name ->
+              let child = Filename.concat path name in
+              if Sys.is_directory child then
+                if skip_dir name then acc else walk acc child
+              else if Filename.check_suffix child ".ml" then child :: acc
+              else acc)
+           acc
+    else if Filename.check_suffix path ".ml" then path :: acc
+    else acc
+  in
+  List.sort String.compare (List.fold_left walk [] roots)
+
+(* Sources the artifact scan never covered. *)
 let missing_cmts ~src_roots (units : Cmt_load.t list) =
   let covered = Hashtbl.create 64 in
   List.iter
@@ -137,8 +200,7 @@ let missing_cmts ~src_roots (units : Cmt_load.t list) =
        | None -> ())
     units;
   let roots = List.filter Sys.file_exists src_roots in
-  Merlin_lint.Driver.collect_files roots
-  |> List.filter (fun f -> Filename.check_suffix f ".ml")
+  collect_sources roots
   |> List.filter_map (fun src ->
       if Hashtbl.mem covered (strip_dot_slash src) then None
       else
@@ -199,6 +261,7 @@ let analyze ?rules ?(src_roots = []) ?(lock_spec = [])
         Cache_key.check ~waivers ~purity:(Lazy.force purity) units)
   in
   let c9 = gated Order_fold.rule (fun () -> Order_fold.check ~waivers units) in
+  let c10_16 = Hygiene.check ~waivers ~active units in
   let missing = missing_cmts ~src_roots units in
   let tokens =
     List.filter_map
@@ -206,19 +269,53 @@ let analyze ?rules ?(src_roots = []) ?(lock_spec = [])
       analysis_rules
     |> List.sort_uniq String.compare
   in
-  let stale = Waivers.stale ~tokens waivers in
+  let stale = Waivers.stale ~active:tokens waivers in
   List.sort Finding.compare_order
-    (load_findings @ c1 @ c2 @ c3 @ c4 @ c5 @ c6 @ c7 @ c8 @ c9 @ missing
-     @ stale)
+    (load_findings @ c1 @ c2 @ c3 @ c4 @ c5 @ c6 @ c7 @ c8 @ c9 @ c10_16
+     @ missing @ stale)
 
 let run ?rules ~roots ~src_roots ~lock_spec () =
   analyze ?rules ~src_roots ~lock_spec (Cmt_load.load_roots roots)
 
 type format = Text | Json | Sarif | Github
 
+let render_text findings =
+  String.concat "" (List.map (fun f -> Finding.to_text f ^ "\n") findings)
+
+let render_json findings =
+  let errors = List.length (List.filter Finding.is_error findings) in
+  Printf.sprintf "{\"findings\":[%s],\"errors\":%d,\"total\":%d}\n"
+    (String.concat "," (List.map Finding.to_json findings))
+    errors (List.length findings)
+
+(* GitHub Actions workflow commands: data after [::] is property-escaped
+   so multi-line or %-bearing messages survive the annotation parser. *)
+let github_escape s =
+  let buf = Buffer.create (String.length s) in
+  String.iter
+    (fun c ->
+       match c with
+       | '%' -> Buffer.add_string buf "%25"
+       | '\n' -> Buffer.add_string buf "%0A"
+       | '\r' -> Buffer.add_string buf "%0D"
+       | c -> Buffer.add_char buf c)
+    s;
+  Buffer.contents buf
+
+let render_github findings =
+  String.concat ""
+    (List.map
+       (fun (f : Finding.t) ->
+          Printf.sprintf "::%s file=%s,line=%d,col=%d::[%s] %s\n"
+            (Finding.severity_to_string f.Finding.severity)
+            (github_escape f.Finding.file)
+            f.Finding.line f.Finding.col f.Finding.rule
+            (github_escape f.Finding.message))
+       findings)
+
 let render format findings =
   match format with
-  | Text -> Merlin_lint.Driver.render_text findings
-  | Json -> Merlin_lint.Driver.render_json findings
+  | Text -> render_text findings
+  | Json -> render_json findings
   | Sarif -> Sarif.render ~tool_name ~tool_version findings
-  | Github -> Merlin_lint.Driver.render_github findings
+  | Github -> render_github findings

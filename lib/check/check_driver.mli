@@ -1,13 +1,13 @@
-(** Orchestration for the typed tier: artifact loading, C1-C9, waiver
-    staleness, coverage guard, rendering. *)
+(** Orchestration: artifact loading, C1-C16, waiver staleness,
+    coverage guard, rendering. *)
 
 val tool_name : string
 
 (** (rule, severity, one-line doc) for every rule the tool can emit,
     analysis rules first. *)
-val rule_docs : (string * Merlin_lint.Finding.severity * string) list
+val rule_docs : (string * Finding.severity * string) list
 
-(** The short code ("C1".."C9") of an analysis rule; [None] for the
+(** The short code ("C1".."C16") of an analysis rule; [None] for the
     driver-level diagnostics. *)
 val rule_code : string -> string option
 
@@ -27,8 +27,8 @@ val analyze :
   ?rules:string list ->
   ?src_roots:string list ->
   ?lock_spec:string list ->
-  Cmt_load.t list * Merlin_lint.Finding.t list ->
-  Merlin_lint.Finding.t list
+  Cmt_load.t list * Finding.t list ->
+  Finding.t list
 
 (** Load every artifact under [roots], then {!analyze}. *)
 val run :
@@ -37,8 +37,12 @@ val run :
   src_roots:string list ->
   lock_spec:string list ->
   unit ->
-  Merlin_lint.Finding.t list
+  Finding.t list
 
 type format = Text | Json | Sarif | Github
 
-val render : format -> Merlin_lint.Finding.t list -> string
+(** Text is one [file:line:col [rule] message] line per finding; Json
+    is [{"findings":[...],"errors":N,"total":N}]; Github is one
+    Actions workflow command per finding
+    ([::error file=F,line=L,col=C::[rule] message]), property-escaped. *)
+val render : format -> Finding.t list -> string

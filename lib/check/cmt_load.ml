@@ -8,14 +8,13 @@
    switch); files that then still fail to load produce a warning
    finding instead of aborting the whole run. *)
 
-module Finding = Merlin_lint.Finding
-
 type t = {
   name : string;
   source : string option;
   intf_source : string option;
   impl : Typedtree.structure option;
   intf : Typedtree.signature option;
+  load_path : string list;
 }
 
 (* Entry-point compilation units: roots of the reference graph, never
@@ -84,6 +83,7 @@ type raw = {
   raw_name : string;
   raw_source : string option;
   raw_annots : Cmt_format.binary_annots;
+  raw_load_path : string list;
 }
 
 let load_error_finding path msg =
@@ -97,7 +97,8 @@ let read_raw path =
     Ok
       { raw_name = infos.Cmt_format.cmt_modname;
         raw_source = infos.Cmt_format.cmt_sourcefile;
-        raw_annots = infos.Cmt_format.cmt_annots }
+        raw_annots = infos.Cmt_format.cmt_annots;
+        raw_load_path = infos.Cmt_format.cmt_loadpath }
   | exception Cmi_format.Error _ ->
     Error (load_error_finding path "bad cmi payload")
   | exception Cmt_format.Error _ ->
@@ -160,12 +161,16 @@ let load_files paths =
                  source = None;
                  intf_source = None;
                  impl = None;
-                 intf = None }
+                 intf = None;
+                 load_path = raw.raw_load_path }
            in
            let merged =
              match raw.raw_annots with
              | Cmt_format.Implementation str ->
-               { existing with impl = Some str; source = raw.raw_source }
+               { existing with
+                 impl = Some str;
+                 source = raw.raw_source;
+                 load_path = raw.raw_load_path }
              | Cmt_format.Interface sg ->
                { existing with intf = Some sg; intf_source = raw.raw_source }
              | _ -> existing

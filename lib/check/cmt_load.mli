@@ -11,6 +11,10 @@ type t = {
   intf_source : string option;  (** interface source path from the cmti *)
   impl : Typedtree.structure option;
   intf : Typedtree.signature option;
+  load_path : string list;
+      (** the compiler's load path when the unit was built (the
+          implementation's when both artifacts exist), for rebuilding
+          typing environments *)
 }
 
 (** Source under [bin/], [bench/], [test/] or [examples/]: a root of
@@ -25,10 +29,7 @@ val is_pool_internal : t -> bool
 (** A dune-generated library alias module ([*.ml-gen]). *)
 val is_alias_unit : t -> bool
 
-(** All [.cmt]/[.cmti] files under the given files/directories, sorted;
-    fixture trees ([*_fixtures]) are skipped. *)
-val collect_cmt_files : string list -> string list
-
-val load_files : string list -> t list * Merlin_lint.Finding.t list
-
-val load_roots : string list -> t list * Merlin_lint.Finding.t list
+(** Load every [.cmt]/[.cmti] artifact under the given
+    files/directories, in path order; fixture trees ([*_fixtures]) are
+    skipped. *)
+val load_roots : string list -> t list * Finding.t list

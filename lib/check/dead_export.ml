@@ -13,8 +13,6 @@
    names starting with [_] are deliberate keep-alives; a same-line
    [check: dead-export] waiver in the .mli suppresses one export. *)
 
-module Finding = Merlin_lint.Finding
-
 let rule = "dead-export"
 
 (* The reference set: (compilation unit, exported member) pairs seen

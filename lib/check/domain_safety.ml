@@ -19,8 +19,6 @@
    bound inside the closure ([let r' = r in r' := ...]), and Atomic —
    deliberately exempt, it is safe by construction. *)
 
-module Finding = Merlin_lint.Finding
-
 let rule = "domain-unsafe-capture"
 
 (* (path suffix, index of the mutated argument, display name).

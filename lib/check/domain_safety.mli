@@ -9,4 +9,4 @@
 
 val rule : string
 
-val check : waivers:Waivers.t -> Cmt_load.t list -> Merlin_lint.Finding.t list
+val check : waivers:Waivers.t -> Cmt_load.t list -> Finding.t list

@@ -12,8 +12,6 @@
    not seen (documented false negative).  [Texp_assert] counts as a
    raiser — [Assert_failure] at await is the least debuggable of all. *)
 
-module Finding = Merlin_lint.Finding
-
 let rule = "task-exn-escape"
 
 (* Raising primitives, matched fully qualified. *)

@@ -26,8 +26,6 @@
    by design.  Deliberate ownership transfers the classifier cannot
    see are waived with [check: fd-escape]. *)
 
-module Finding = Merlin_lint.Finding
-
 let rule = "fd-leak"
 
 let fun_protect_suffix = [ "Fun"; "protect" ]

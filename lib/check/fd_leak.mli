@@ -7,4 +7,4 @@
 val rule : string
 
 val check :
-  waivers:Waivers.t -> Concur.project -> Merlin_lint.Finding.t list
+  waivers:Waivers.t -> Concur.project -> Finding.t list

@@ -19,8 +19,6 @@
    cycles, so adding a lock never fails the build until it is either
    ranked or inverted. *)
 
-module Finding = Merlin_lint.Finding
-
 let rule = "lock-order"
 
 (* ---------- spec ---------- *)

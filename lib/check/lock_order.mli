@@ -17,4 +17,4 @@ val check :
   waivers:Waivers.t ->
   spec:string list ->
   Concur.project ->
-  Merlin_lint.Finding.t list
+  Finding.t list

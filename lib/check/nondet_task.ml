@@ -21,8 +21,6 @@
    the implementation of the timers), and closures reaching a sink
    through a variable are not seen — a documented false negative. *)
 
-module Finding = Merlin_lint.Finding
-
 let rule = "nondet-in-task"
 
 let token = "nondet-ok"

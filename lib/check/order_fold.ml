@@ -27,8 +27,6 @@
    depended on, sorts hidden behind helper functions, and traversal
    results escaping through mutation rather than binding. *)
 
-module Finding = Merlin_lint.Finding
-
 let rule = "order-sensitive-fold"
 
 let token = "nondet-ok"

@@ -6,4 +6,4 @@
 val rule : string
 
 val check :
-  waivers:Waivers.t -> Cmt_load.t list -> Merlin_lint.Finding.t list
+  waivers:Waivers.t -> Cmt_load.t list -> Finding.t list

@@ -3,7 +3,7 @@
     matching.
 
     Paths through functor applications resolve to [None] everywhere —
-    a documented false negative of the typed tier (DESIGN.md,
+    a documented false negative of the analyzer (DESIGN.md,
     "Correctness tooling"). *)
 
 (** Path components root-first; [None] through functor applications. *)

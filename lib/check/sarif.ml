@@ -1,10 +1,9 @@
 (* SARIF 2.1.0 rendering of findings: one run, one result per finding,
    rule metadata deduplicated into the driver's rules array.  The
-   output is accepted back by Merlin_lint.Baseline (which reads both
-   the native baseline format and SARIF), so a CI artifact can be
-   promoted to a baseline verbatim. *)
+   output is accepted back by Baseline (which reads both the native
+   baseline format and SARIF), so a CI artifact can be promoted to a
+   baseline verbatim. *)
 
-module Finding = Merlin_lint.Finding
 module Json = Merlin_report.Json
 
 let version = "2.1.0"

@@ -1,10 +1,10 @@
 (** SARIF 2.1.0 rendering.  The output round-trips through
-    [Merlin_lint.Baseline], so a CI SARIF artifact can be promoted to a
-    baseline file verbatim. *)
+    {!Baseline}, so a CI SARIF artifact can be promoted to a baseline
+    file verbatim. *)
 
 (** The SARIF 2.1.0 log, serialized, newline-terminated. *)
 val render :
   tool_name:string ->
   tool_version:string ->
-  Merlin_lint.Finding.t list ->
+  Finding.t list ->
   string

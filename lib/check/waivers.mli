@@ -1,11 +1,11 @@
-(** Typed-tier waivers: a same-line [check: <token>] comment suppresses
-    one typed rule on that line; waivers that suppress nothing are
+(** Waivers: a same-line [check: <token>] comment suppresses one rule
+    on that line; waivers that suppress nothing, or name no rule, are
     reported as [stale-waiver] warnings. *)
 
-(** The tokens the typed rules consume: [domain-safe] (C1), [exn-flow]
-    (C2), [dead-export] (C3), [lock-order] (C4), [blocking-ok] (C5),
-    [fd-escape] (C6), [nondet-ok] (C7-C9).  One definition, re-exported
-    from {!Merlin_lint.Waiver_mark}. *)
+(** The tokens the rules consume: [domain-safe] (C1), [exn-flow] (C2),
+    [dead-export] (C3), [lock-order] (C4), [blocking-ok] (C5),
+    [fd-escape] (C6), [nondet-ok] (C7-C9), and for C10-C16 the rule
+    name itself ([poly-compare] ... [builder-create-in-loop]). *)
 val tokens : string list
 
 type t
@@ -20,8 +20,9 @@ val register_file : t -> string -> unit
     token's waiver; consumption is recorded for {!stale}. *)
 val waived : t -> file:string -> line:int -> token:string -> bool
 
-(** Warning findings for every known-token waiver never consumed by a
-    rule, source-ordered.  Call after all rules ran.  [tokens] restricts
-    the audit to the active rules' tokens (a waiver for a rule this run
-    did not execute is not auditable); defaults to the full list. *)
-val stale : ?tokens:string list -> t -> Merlin_lint.Finding.t list
+(** Warning findings for every waiver with an unknown token, and every
+    waiver for an [active] token never consumed by a rule,
+    source-ordered.  Call after all rules ran.  [active] restricts the
+    staleness audit to the tokens of the rules this run executed;
+    defaults to the full list. *)
+val stale : ?active:string list -> t -> Finding.t list

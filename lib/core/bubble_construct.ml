@@ -208,7 +208,7 @@ let construct ?candidates ~cfg ~tech ~buffers (net : Net.t) order =
         let sl = Grouping.skipped_left ~r:r_in ~len:l_in e_in in
         let sr = Grouping.skipped_right ~r:r_in ~len:l_in e_in in
         let skipped_at opt pos =
-          match opt with Some p -> p = pos | None -> false
+          match opt with Some p -> Int.equal p pos | None -> false
         in
         let is_bubbled pos = skipped_at sl pos || skipped_at sr pos in
         let positions = List.map (fun pos -> Pos pos) in

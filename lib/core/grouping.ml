@@ -27,7 +27,9 @@ let covered ~r ~len e =
   let start = window_start ~r ~len e in
   let slots = List.init (len + stretch e) (fun i -> start + i) in
   let sl = skipped_left ~r ~len e and sr = skipped_right ~r ~len e in
-  let differs opt pos = match opt with Some p -> p <> pos | None -> true in
+  let differs opt pos =
+    match opt with Some p -> not (Int.equal p pos) | None -> true
+  in
   List.filter (fun pos -> differs sl pos && differs sr pos) slots
 
 let pp ppf e = Format.fprintf ppf "chi%d" (code e)

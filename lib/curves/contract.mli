@@ -1,6 +1,6 @@
 (** Runtime invariant contracts for solution curves.
 
-    The static lint rules (see DESIGN.md "Correctness tooling") protect
+    The static analysis rules (see DESIGN.md "Correctness tooling") protect
     the code that maintains curve invariants; this module checks the
     invariants themselves at runtime.  Enabled when the process starts
     with [MERLIN_CHECK=1] (or via {!set_enabled}); disabled it costs one

@@ -227,7 +227,7 @@ module Builder = struct
       dst := t;
       width := 2 * !width
     done;
-    if !src != keys then Array.blit !src 0 keys 0 n (* lint: physical-eq *)
+    if !src != keys then Array.blit !src 0 keys 0 n (* check: physical-eq *)
 
   (* The same bottom-up merge sort under a comparator closure — the
      fallback for un- or partially-quantised builds, whose keys live in
@@ -287,7 +287,7 @@ module Builder = struct
       dst := t;
       width := 2 * !width
     done;
-    if !src != keys then Array.blit !src 0 keys 0 n (* lint: physical-eq *)
+    if !src != keys then Array.blit !src 0 keys 0 n (* check: physical-eq *)
 
   (* Quantisation buckets stay bit-exact and order-preserving as ints as
      long as |bucket| stays far below 2^53: [float_of_int] is exact and

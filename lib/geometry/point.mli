@@ -20,8 +20,9 @@ val manhattan : t -> t -> int
 (** [add a b] is componentwise sum. *)
 val add : t -> t -> t
 
-(** [center_of_mass pts] is the componentwise average (integer division).
-    Raises [Invalid_argument] on the empty list. *)
+(** [center_of_mass pts] is the componentwise average, rounded down
+    (floor division), so translating every point translates the center
+    by the same offset.  Raises [Invalid_argument] on the empty list. *)
 val center_of_mass : t list -> t
 
 (** [l_corner a b] is the corner point of the lower L-shaped rectilinear

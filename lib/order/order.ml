@@ -8,7 +8,8 @@ let to_list = Array.to_list
 
 let length = Array.length
 
-let equal a b = a = b
+let equal a b =
+  Array.length a = Array.length b && Array.for_all2 Int.equal a b
 
 let is_permutation t =
   let n = Array.length t in

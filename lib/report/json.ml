@@ -1,5 +1,5 @@
 (* Minimal JSON tree, parser and printer — the single JSON layer of
-   the repository, shared by the lint/check baselines and reports, the
+   the repository, shared by the analyzer's baselines and reports, the
    metrics wire format (Metrics), the bench emitters and the serving
    protocol (Merlin_serve.Wire).  Depending on yojson for that would
    drag a new package into a repo that otherwise needs none. *)

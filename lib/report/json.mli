@@ -1,5 +1,5 @@
 (** Minimal JSON tree, parser and printer — the repository's single
-    JSON layer (lint/check baselines and reports, the {!Metrics} wire
+    JSON layer (analyzer baselines and reports, the {!Metrics} wire
     format, bench emitters, the serving protocol), with no external
     dependency.  Finite numbers print as the shortest decimal that
     parses back to the same float, so documents survive

@@ -19,5 +19,4 @@ let () =
       Test_hier.suite;
       Test_circuit.suite;
       Test_exec.suite;
-      Test_lint.suite;
       Test_check.suite ]

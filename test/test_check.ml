@@ -1,16 +1,20 @@
-(* merlin_check tests: the typed rules against compiled fixtures, and
-   the SARIF -> baseline round-trip property.
+(* merlin_check tests: the rules against compiled fixtures, and the
+   SARIF -> baseline round-trip property.
 
    Fixtures under check_fixtures/ are plain sources (not part of any
    dune stanza); the test copies them to a temp directory, compiles
    them there with ocamlc -bin-annot and runs the analyzer on the
    resulting artifacts.  Compiling outside the build tree keeps the
    fixtures' deliberate violations out of the repository-wide @check
-   scan. *)
+   scan.  Rules scoped to lib/ (C11, C15, C16) see a fixture's source
+   path, so those fixtures are compiled under a lib/ (or lib/core/)
+   directory of the temp tree. *)
 
 module Cmt_load = Merlin_check.Cmt_load
 module Check_driver = Merlin_check.Check_driver
-module Finding = Merlin_lint.Finding
+module Finding = Merlin_check.Finding
+module Baseline = Merlin_check.Baseline
+module Hygiene = Merlin_check.Hygiene
 
 let qtest ?(count = 50) name arb prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~name ~count arb prop)
@@ -38,28 +42,65 @@ let write_file path text =
   output_string oc text;
   close_out oc
 
+let rec mkdir_p dir =
+  if not (Sys.file_exists dir) then (
+    mkdir_p (Filename.dirname dir);
+    Sys.mkdir dir 0o755)
+
+(* A fresh directory per compilation, under one temp root that is
+   removed when the test process exits. *)
+let fresh_dir =
+  let root =
+    lazy
+      (let root = Filename.temp_dir "merlin_check_test" "" in
+       at_exit (fun () ->
+           ignore (Sys.command ("rm -rf " ^ Filename.quote root)));
+       root)
+  in
+  let n = ref 0 in
+  fun () ->
+    incr n;
+    Filename.concat (Lazy.force root) (string_of_int !n)
+
+(* Write [(relative path, text)] sources under [dir] and compile them
+   there, in order (an .mli before its .ml, a dependency before its
+   users), with [includes] and every source directory on the load
+   path. *)
+let compile ?(includes = []) dir sources =
+  mkdir_p dir;
+  List.iter
+    (fun (rel, text) ->
+       let path = Filename.concat dir rel in
+       mkdir_p (Filename.dirname path);
+       write_file path text)
+    sources;
+  let dirs =
+    List.sort_uniq String.compare
+      (includes
+       @ List.map
+           (fun (rel, _) -> Filename.concat dir (Filename.dirname rel))
+           sources)
+  in
+  let cmd =
+    Printf.sprintf "ocamlc -bin-annot -w -a %s -c %s"
+      (String.concat " "
+         (List.map (fun d -> "-I " ^ Filename.quote d) dirs))
+      (String.concat " "
+         (List.map
+            (fun (rel, _) -> Filename.quote (Filename.concat dir rel))
+            sources))
+  in
+  if Sys.command cmd <> 0 then
+    failwith "Test_check.compile: fixture compilation failed";
+  Cmt_load.load_roots [ dir ]
+
+let fixture rel = (rel, read_file (Filename.concat "check_fixtures" rel))
+
 (* Compile once, analyze once; every test case reads this. *)
 let analysis =
   lazy
-    (let dir = Filename.temp_dir "merlin_fixt" "" in
-     List.iter
-       (fun name ->
-          write_file (Filename.concat dir name)
-            (read_file (Filename.concat "check_fixtures" name)))
-       fixture_files;
-     let srcs =
-       List.map (fun name -> Filename.quote (Filename.concat dir name))
-         fixture_files
-     in
-     let cmd =
-       Printf.sprintf "ocamlc -bin-annot -I %s -c %s" (Filename.quote dir)
-         (String.concat " " srcs)
-     in
-     if Sys.command cmd <> 0 then
-       failwith "Test_check.analysis: fixture compilation failed";
-     let units, errs =
-       Cmt_load.load_files (Cmt_load.collect_cmt_files [ dir ])
-     in
+    (let dir = fresh_dir () in
+     let units, errs = compile dir (List.map fixture fixture_files) in
      (units, errs, Check_driver.analyze (units, errs)))
 
 let findings_for base =
@@ -322,6 +363,237 @@ let test_c9_waived () =
     (count_rule "order-sensitive-fold" fs);
   Alcotest.(check int) "waiver consumed" 0 (count_rule "stale-waiver" fs)
 
+(* ---- C10-C16: the per-unit hygiene rules ----
+
+   The cases keep the names of the syntactic linter they were ported
+   from (R1-R7 are C10-C16).  Each snippet is compiled on its own under
+   the given source path, against stubs for Curve.Builder, and analyzed
+   with the hygiene rules; C15 is left out because a lib/ snippet has
+   no .mli. *)
+
+let stubs =
+  lazy
+    (let dir = fresh_dir () in
+     ignore
+       (compile dir
+          [ fixture "stubs/curve.ml"; fixture "stubs/merlin_curves.ml" ]);
+     Filename.concat dir "stubs")
+
+let hygiene_rules =
+  [ Hygiene.poly_compare; Hygiene.raising_accessor; Hygiene.physical_eq;
+    Hygiene.error_prefix; Hygiene.catch_all; Hygiene.mli_sibling;
+    Hygiene.builder_create_in_loop ]
+
+let analyze_snippet ~filename src =
+  let dir = fresh_dir () in
+  let rules =
+    List.filter
+      (fun r -> not (String.equal r Hygiene.mli_sibling))
+      hygiene_rules
+  in
+  Check_driver.analyze ~rules
+    (compile ~includes:[ Lazy.force stubs ] dir [ (filename, src) ])
+
+let spans ~filename src =
+  List.map
+    (fun (f : Finding.t) -> (f.Finding.rule, f.Finding.line))
+    (analyze_snippet ~filename src)
+
+let check_spans name expected ~filename src =
+  Alcotest.(check (list (pair string int))) name expected (spans ~filename src)
+
+let test_poly_compare () =
+  check_spans "structured literal flagged" [ ("poly-compare", 2) ]
+    ~filename:"lib/fix.ml" "let x = 1\nlet is_empty l = l = []\n";
+  check_spans "constructor operand flagged" [ ("poly-compare", 1) ]
+    ~filename:"lib/fix.ml" "let f o p = o = Some p\n";
+  check_spans "first-class compare flagged" [ ("poly-compare", 1) ]
+    ~filename:"lib/fix.ml" "let sort l = List.sort compare l\n";
+  check_spans "pattern match passes" [] ~filename:"lib/fix.ml"
+    "let is_empty = function [] -> true | _ :: _ -> false\n";
+  check_spans "scalar comparison passes" [] ~filename:"lib/fix.ml"
+    "let f x = x = 3 && x <> 5\n"
+
+(* The typed rule judges [compare] at its instantiated type: sorting
+   ints is a specialised integer compare, not a polymorphic one. *)
+let test_poly_compare_int () =
+  check_spans "int compare passes" [] ~filename:"lib/fix.ml"
+    "let sort (l : int list) = List.sort compare l\n";
+  check_spans "abbreviation of a scalar passes" [] ~filename:"lib/fix.ml"
+    "let same (a : Float.t) b = a = b\n"
+
+(* ...and it sees structure with no literal operand in sight. *)
+let test_poly_compare_record () =
+  check_spans "record = flagged" [ ("poly-compare", 2) ]
+    ~filename:"lib/fix.ml"
+    "type p = { x : int; y : int }\nlet same (a : p) b = a = b\n"
+
+let test_raising_accessor () =
+  check_spans "Hashtbl.find in lib flagged" [ ("raising-accessor", 1) ]
+    ~filename:"lib/fix.ml" "let f tbl k = Hashtbl.find tbl k\n";
+  check_spans "List.hd in lib flagged" [ ("raising-accessor", 1) ]
+    ~filename:"lib/fix.ml" "let f l = List.hd l\n";
+  check_spans "allowed outside lib" [] ~filename:"bin/fix.ml"
+    "let f tbl k = Hashtbl.find tbl k\n";
+  check_spans "_opt form passes" [] ~filename:"lib/fix.ml"
+    "let f tbl k = Hashtbl.find_opt tbl k\n"
+
+let test_raising_accessor_alias () =
+  check_spans "aliased Hashtbl.find flagged" [ ("raising-accessor", 2) ]
+    ~filename:"lib/fix.ml" "module H = Hashtbl\nlet f tbl k = H.find tbl k\n"
+
+(* The waiver opener is spelled with an escape so this file carries no
+   waiver of its own. *)
+let test_physical_eq () =
+  check_spans "== flagged" [ ("physical-eq", 1) ] ~filename:"lib/fix.ml"
+    "let same a b = a == b\n";
+  check_spans "!= flagged" [ ("physical-eq", 1) ] ~filename:"bin/fix.ml"
+    "let diff a b = a != b\n";
+  check_spans "waiver accepted" [] ~filename:"lib/fix.ml"
+    "let same a b = a == b (* ch\101ck: physical-eq *)\n"
+
+let test_error_prefix () =
+  check_spans "bare message flagged" [ ("error-prefix", 1) ]
+    ~filename:"lib/fix.ml" "let f () = failwith \"boom\"\n";
+  check_spans "module-only prefix flagged" [ ("error-prefix", 1) ]
+    ~filename:"lib/fix.ml" "let f () = invalid_arg \"Fix: boom\"\n";
+  check_spans "sprintf format flagged" [ ("error-prefix", 2) ]
+    ~filename:"lib/fix.ml"
+    "let f n =\n  invalid_arg (Printf.sprintf \"bad %d\" n)\n";
+  check_spans "Module.function prefix passes" [] ~filename:"lib/fix.ml"
+    "let f () = failwith \"Fix.f: boom\"\n";
+  check_spans "prefixed sprintf passes" [] ~filename:"lib/fix.ml"
+    "let f n = invalid_arg (Printf.sprintf \"Fix.f: bad %d\" n)\n"
+
+let test_catch_all () =
+  check_spans "with _ flagged" [ ("catch-all", 1) ] ~filename:"lib/fix.ml"
+    "let safe f = try f () with _ -> 0\n";
+  check_spans "or-pattern catch-all flagged" [ ("catch-all", 1) ]
+    ~filename:"lib/fix.ml" "let safe f = try f () with Not_found | _ -> 0\n";
+  check_spans "specific exception passes" [] ~filename:"lib/fix.ml"
+    "let safe f = try f () with Not_found -> 0\n"
+
+let test_builder_create_in_loop () =
+  check_spans "iter callback flagged in core" [ ("builder-create-in-loop", 2) ]
+    ~filename:"lib/core/fix.ml"
+    "let f cells =\n\
+    \  List.iter (fun c -> ignore (Curve.Builder.create ())) cells\n";
+  check_spans "for-loop body flagged in lttree" [ ("builder-create-in-loop", 1) ]
+    ~filename:"lib/lttree/fix.ml"
+    "let f n = for _i = 1 to n do ignore (Curve.Builder.create ()) done\n";
+  check_spans "qualified form flagged" [ ("builder-create-in-loop", 1) ]
+    ~filename:"lib/core/fix.ml"
+    "let f l = List.iter (fun _ -> ignore (Merlin_curves.Curve.Builder.create ())) l\n";
+  check_spans "hoisted create passes" [] ~filename:"lib/core/fix.ml"
+    "let f cells =\n\
+    \  let bld = Curve.Builder.create () in\n\
+    \  List.iter (fun c -> ignore (Curve.fill bld c)) cells\n";
+  check_spans "outside the hot paths passes" [] ~filename:"lib/flows/fix.ml"
+    "let f l = List.iter (fun _ -> ignore (Curve.Builder.create ())) l\n";
+  check_spans "waiver accepted" [] ~filename:"lib/core/fix.ml"
+    "let f l =\n\
+    \  List.iter (fun _ -> ignore (Curve.Builder.create ())) l (* ch\101ck: builder-create-in-loop *)\n"
+
+(* A [let rec] body runs once per recursive call, so it counts as a loop. *)
+let test_builder_create_in_let_rec () =
+  check_spans "top-level let rec flagged in lttree"
+    [ ("builder-create-in-loop", 1) ]
+    ~filename:"lib/lttree/fix.ml"
+    "let rec f i = if i > 0 then (ignore (Curve.Builder.create ()); f (i - 1))\n"
+
+(* [lib/ginneken] is a hot path: one builder per tree node fires... *)
+let test_builder_per_node_ginneken () =
+  check_spans "per-node builder in a let rec flagged in ginneken"
+    [ ("builder-create-in-loop", 3) ]
+    ~filename:"lib/ginneken/fix.ml"
+    "let curve tree =\n\
+    \  let rec walk t =\n\
+    \    let bld = Curve.Builder.create () in\n\
+    \    ignore (Curve.fill bld t); List.iter walk t.Curve.kids\n\
+    \  in\n\
+    \  walk tree\n"
+
+(* ...one builder per walk, cleared for every batch, passes. *)
+let test_builder_per_walk_ginneken () =
+  check_spans "per-walk builder passes in ginneken" []
+    ~filename:"lib/ginneken/fix.ml"
+    "let curve tree =\n\
+    \  let bld = Curve.Builder.create () in\n\
+    \  let rec walk t = Curve.Builder.clear bld; List.iter walk t.Curve.kids in\n\
+    \  walk tree\n"
+
+(* C15 is a property of the loaded unit: an implementation with no
+   interface artifact. *)
+let test_mli_sibling () =
+  let dir = fresh_dir () in
+  let rules fs = List.map (fun (f : Finding.t) -> f.Finding.rule) fs in
+  let analyze sources =
+    Check_driver.analyze ~rules:hygiene_rules (compile dir sources)
+  in
+  Alcotest.(check (list string)) "orphan .ml flagged" [ "mli-sibling" ]
+    (rules (analyze [ ("lib/orphan.ml", "let x = 1\n") ]));
+  Alcotest.(check (list string)) "sibling .mli silences" []
+    (rules
+       (analyze
+          [ ("lib/orphan.mli", "val x : int\n");
+            ("lib/orphan.ml", "let x = 1\n") ]))
+
+let test_render () =
+  let findings =
+    analyze_snippet ~filename:"lib/fix.ml" "let same a b = a == b\n"
+  in
+  let text = Check_driver.render Check_driver.Text findings in
+  Alcotest.(check bool) "text span" true
+    (contains text "lib/fix.ml:1:17 [physical-eq]");
+  let json = Check_driver.render Check_driver.Json findings in
+  Alcotest.(check bool) "json rule" true
+    (contains json "\"rule\":\"physical-eq\"");
+  Alcotest.(check bool) "json errors" true (contains json "\"errors\":1")
+
+(* The known-bad fixtures, one per rule, each compiled under lib/ in
+   one tree with the known-good counterpart. *)
+let hygiene_fixtures =
+  lazy
+    (let dir = fresh_dir () in
+     Check_driver.analyze ~rules:hygiene_rules
+       (compile ~includes:[ Lazy.force stubs ] dir
+          (List.map fixture
+             [ "bad/lib/r1.mli"; "bad/lib/r1.ml"; "bad/lib/r2.mli";
+               "bad/lib/r2.ml"; "bad/lib/r3.mli"; "bad/lib/r3.ml";
+               "bad/lib/r4.mli"; "bad/lib/r4.ml"; "bad/lib/r5.mli";
+               "bad/lib/r5.ml"; "bad/lib/r6.ml"; "bad/lib/core/r7.mli";
+               "bad/lib/core/r7.ml"; "good/lib/ok.mli"; "good/lib/ok.ml" ])))
+
+let test_bad_fixtures () =
+  let fired base =
+    List.filter_map
+      (fun (f : Finding.t) ->
+         if String.equal (Filename.basename f.Finding.file) base then
+           Some (f.Finding.rule, f.Finding.line)
+         else None)
+      (Lazy.force hygiene_fixtures)
+  in
+  List.iter
+    (fun (base, expected) ->
+       Alcotest.(check (list (pair string int))) base expected (fired base))
+    [ ("r1.ml", [ ("poly-compare", 2) ]);
+      ("r2.ml", [ ("raising-accessor", 2) ]);
+      ("r3.ml", [ ("physical-eq", 2) ]);
+      ("r4.ml", [ ("error-prefix", 2) ]);
+      ("r5.ml", [ ("catch-all", 2) ]);
+      ("r6.ml", [ ("mli-sibling", 1) ]);
+      ( "r7.ml",
+        [ ("builder-create-in-loop", 7); ("builder-create-in-loop", 13);
+          ("builder-create-in-loop", 20) ] ) ]
+
+let test_good_fixture () =
+  Alcotest.(check (list string)) "good/lib/ok.ml is clean" []
+    (List.filter_map
+       (fun (f : Finding.t) ->
+          if contains f.Finding.file "/good/" then Some (Finding.to_text f)
+          else None)
+       (Lazy.force hygiene_fixtures))
+
 (* ---- purity summaries (the machinery under C7-C9) ---- *)
 
 let test_purity_classify () =
@@ -446,15 +718,26 @@ let test_rules_filter () =
 
 let test_stale_waiver () =
   let fs = findings_for "stale.ml" in
-  Alcotest.(check int) "stale waiver reported" 1 (count_rule "stale-waiver" fs)
+  Alcotest.(check int) "stale waiver reported" 1 (count_rule "stale-waiver" fs);
+  (* A token no rule defines is reported whatever the rule filter. *)
+  match
+    analyze_snippet ~filename:"lib/fix.ml"
+      "let x = 1 (* ch\101ck: no-such-rule *)\n"
+  with
+  | [ f ] ->
+    Alcotest.(check string) "unknown token" "stale-waiver" f.Finding.rule;
+    Alcotest.(check bool) "names the token" true
+      (contains f.Finding.message "no-such-rule")
+  | fs -> Alcotest.failf "expected one finding, got %d" (List.length fs)
 
 let test_tokens () =
   List.iter
     (fun tok ->
        Alcotest.(check bool) tok true
          (List.exists (String.equal tok) Merlin_check.Waivers.tokens))
-    [ "domain-safe"; "exn-flow"; "dead-export"; "lock-order"; "blocking-ok";
-      "fd-escape"; "nondet-ok" ]
+    ([ "domain-safe"; "exn-flow"; "dead-export"; "lock-order"; "blocking-ok";
+       "fd-escape"; "nondet-ok" ]
+     @ hygiene_rules)
 
 (* ---- SARIF round-trip (qcheck) ---- *)
 
@@ -492,28 +775,27 @@ let arb_findings =
       String.concat "\n" (List.map Finding.to_text fs))
     (list_size (int_range 0 20) finding)
 
-let entry_equal (a : Merlin_lint.Baseline.entry) (b : Merlin_lint.Baseline.entry)
-  =
-  String.equal a.Merlin_lint.Baseline.rule b.Merlin_lint.Baseline.rule
-  && String.equal a.Merlin_lint.Baseline.file b.Merlin_lint.Baseline.file
-  && String.equal a.Merlin_lint.Baseline.message b.Merlin_lint.Baseline.message
-  && a.Merlin_lint.Baseline.count = b.Merlin_lint.Baseline.count
+let entry_equal (a : Baseline.entry) (b : Baseline.entry) =
+  String.equal a.Baseline.rule b.Baseline.rule
+  && String.equal a.Baseline.file b.Baseline.file
+  && String.equal a.Baseline.message b.Baseline.message
+  && a.Baseline.count = b.Baseline.count
 
 (* Both render paths must load back to the same baseline: the SARIF log
    (what CI archives) and the native format (what the repo commits). *)
 let sarif_roundtrip findings =
-  let entries = Merlin_lint.Baseline.of_findings findings in
+  let entries = Baseline.of_findings findings in
   let sarif =
     Merlin_check.Sarif.render ~tool_name:Check_driver.tool_name
       ~tool_version:"test" findings
   in
-  match Merlin_lint.Baseline.of_string sarif with
+  match Baseline.of_string sarif with
   | Error msg -> QCheck.Test.fail_reportf "baseline rejected SARIF: %s" msg
   | Ok parsed -> (
     List.equal entry_equal entries parsed
     &&
     match
-      Merlin_lint.Baseline.of_string (Merlin_lint.Baseline.to_string entries)
+      Baseline.of_string (Baseline.to_string entries)
     with
     | Error msg -> QCheck.Test.fail_reportf "baseline rejected native: %s" msg
     | Ok native -> List.equal entry_equal entries native)
@@ -532,7 +814,7 @@ let test_github_render () =
      message\n\
      ::warning file=lib/a.ml,line=3,col=0::[lock-order] 50%25 \
      held%0Asecond line\n"
-    (Merlin_lint.Driver.render_github fs)
+    (Check_driver.render Check_driver.Github fs)
 
 (* ---- baseline staleness ---- *)
 
@@ -541,7 +823,7 @@ let test_baseline_prune () =
     Finding.make ~file ~line:1 ~col:0 ~rule ~severity:Finding.Warning msg
   in
   let baseline =
-    Merlin_lint.Baseline.of_findings
+    Baseline.of_findings
       [ f "dead-export" "a.mli" "A.x is dead";
         f "dead-export" "a.mli" "A.x is dead";
         f "fd-leak" "b.ml" "gone";
@@ -552,7 +834,7 @@ let test_baseline_prune () =
   (* one of the two A.x findings remains; the rest match nothing *)
   let current = [ f "dead-export" "a.mli" "A.x is dead" ] in
   let survivors, stale, live =
-    Merlin_lint.Baseline.apply_detailed baseline current
+    Baseline.apply_detailed baseline current
   in
   Alcotest.(check int) "nothing new" 0 (List.length survivors);
   Alcotest.(check (list (pair string int)))
@@ -560,20 +842,20 @@ let test_baseline_prune () =
     [ ("dead-export", 1); ("fd-leak", 1); ("nondet-in-task", 1);
       ("order-sensitive-fold", 1) ]
     (List.map
-       (fun (e : Merlin_lint.Baseline.entry) ->
-          (e.Merlin_lint.Baseline.rule, e.Merlin_lint.Baseline.count))
+       (fun (e : Baseline.entry) ->
+          (e.Baseline.rule, e.Baseline.count))
        stale);
   Alcotest.(check (list (pair string int)))
     "live part keeps one A.x"
     [ ("dead-export", 1) ]
     (List.map
-       (fun (e : Merlin_lint.Baseline.entry) ->
-          (e.Merlin_lint.Baseline.rule, e.Merlin_lint.Baseline.count))
+       (fun (e : Baseline.entry) ->
+          (e.Baseline.rule, e.Baseline.count))
        live);
   (* pruning then re-applying the live part absorbs exactly the current
      findings with nothing stale left *)
   let survivors', stale', _ =
-    Merlin_lint.Baseline.apply_detailed live current
+    Baseline.apply_detailed live current
   in
   Alcotest.(check int) "pruned baseline still absorbs" 0
     (List.length survivors');
@@ -613,6 +895,30 @@ let suite =
         test_c9_positive;
       Alcotest.test_case "C9 accepts sorted product" `Quick test_c9_negative;
       Alcotest.test_case "C9 honors waiver" `Quick test_c9_waived;
+      Alcotest.test_case "R1 poly-compare" `Quick test_poly_compare;
+      Alcotest.test_case "R1 passes an int compare" `Quick
+        test_poly_compare_int;
+      Alcotest.test_case "R1 flags a record =" `Quick
+        test_poly_compare_record;
+      Alcotest.test_case "R2 raising-accessor" `Quick test_raising_accessor;
+      Alcotest.test_case "R2 flags an alias" `Quick
+        test_raising_accessor_alias;
+      Alcotest.test_case "R3 physical-eq" `Quick test_physical_eq;
+      Alcotest.test_case "R4 error-prefix" `Quick test_error_prefix;
+      Alcotest.test_case "R5 catch-all" `Quick test_catch_all;
+      Alcotest.test_case "R6 mli-sibling" `Quick test_mli_sibling;
+      Alcotest.test_case "R7 builder-create-in-loop" `Quick
+        test_builder_create_in_loop;
+      Alcotest.test_case "R7 let rec body is a loop" `Quick
+        test_builder_create_in_let_rec;
+      Alcotest.test_case "R7 per-node builder in ginneken fires" `Quick
+        test_builder_per_node_ginneken;
+      Alcotest.test_case "R7 per-walk builder in ginneken passes" `Quick
+        test_builder_per_walk_ginneken;
+      Alcotest.test_case "rendering" `Quick test_render;
+      Alcotest.test_case "bad fixtures fire on their line" `Quick
+        test_bad_fixtures;
+      Alcotest.test_case "good fixture is clean" `Quick test_good_fixture;
       Alcotest.test_case "purity fixpoint classifies" `Quick
         test_purity_classify;
       Alcotest.test_case "purity source table" `Quick

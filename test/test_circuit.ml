@@ -28,7 +28,8 @@ let test_gen_deterministic () =
        let gb = b.Netlist.gates.(i) in
        Alcotest.(check string) "same kind" ga.Netlist.kind.Gate.name
          gb.Netlist.kind.Gate.name;
-       Alcotest.(check bool) "same fanins" true (ga.Netlist.fanins = gb.Netlist.fanins))
+       Alcotest.(check (array int)) "same fanins" ga.Netlist.fanins
+         gb.Netlist.fanins)
     a.Netlist.gates
 
 let test_table2_specs () =

@@ -152,6 +152,27 @@ let test_star_internal_consistency () =
          curve)
     out
 
+(* Structural equality of the trees a solution carries: sinks by id
+   (one net), buffers by cell name. *)
+let rec rtree_equal a b =
+  match (a, b) with
+  | Rtree.Leaf s, Rtree.Leaf s' -> Int.equal s.Sink.id s'.Sink.id
+  | Rtree.Node n, Rtree.Node n' ->
+    Point.equal n.Rtree.loc n'.Rtree.loc
+    && Option.equal
+         (fun (x : Buffer_lib.buffer) (y : Buffer_lib.buffer) ->
+            String.equal x.Buffer_lib.name y.Buffer_lib.name)
+         n.Rtree.buffer n'.Rtree.buffer
+    && List.equal rtree_equal n.Rtree.children n'.Rtree.children
+  | Rtree.Leaf _, Rtree.Node _ | Rtree.Node _, Rtree.Leaf _ -> false
+
+let rec member_equal a b =
+  match (a, b) with
+  | Catree.Direct i, Catree.Direct j -> Int.equal i j
+  | Catree.Chain t, Catree.Chain u ->
+    List.equal member_equal t.Catree.members u.Catree.members
+  | Catree.Direct _, Catree.Chain _ | Catree.Chain _, Catree.Direct _ -> false
+
 (* Runs through one shared context must equal plain runs, each on a
    fresh context: random call sequences over one net with overlapping
    windows, sinks mixed with shared sub-groups, varying active sets and
@@ -200,8 +221,9 @@ let prop_star_context_memo (seed, script) =
             Float.equal x.Solution.req y.Solution.req
             && Float.equal x.Solution.load y.Solution.load
             && Float.equal x.Solution.area y.Solution.area
-            && x.Solution.data.Build.tree = y.Solution.data.Build.tree
-            && x.Solution.data.Build.members = y.Solution.data.Build.members)
+            && rtree_equal x.Solution.data.Build.tree y.Solution.data.Build.tree
+            && List.equal member_equal x.Solution.data.Build.members
+                 y.Solution.data.Build.members)
          (Curve.to_list a) (Curve.to_list b)
   in
   List.for_all

@@ -39,6 +39,15 @@ let obs_ref c =
     (fun s -> (s.Solution.req, s.Solution.load, s.Solution.area, s.Solution.data))
     (Curve_reference.to_list c)
 
+(* Observations compare exactly, with dedicated equalities:
+   coordinates by Float.equal, tie winners by push index. *)
+let same_obs xs ys =
+  List.equal
+    (fun (r, l, a, d) (r', l', a', d') ->
+       Float.equal r r' && Float.equal l l' && Float.equal a a'
+       && Int.equal d d')
+    xs ys
+
 let of_list = Test_curves.of_list
 
 let qtest name ?(count = 500) arb prop =
@@ -47,14 +56,15 @@ let qtest name ?(count = 500) arb prop =
 let equiv =
   [ qtest "of_list = reference (coords and tie winners)" arb_bag (fun bag ->
         let sols = bag_to_sols bag in
-        obs (of_list sols) = obs_ref (Curve_reference.of_list sols));
+        same_obs (obs (of_list sols)) (obs_ref (Curve_reference.of_list sols)));
     qtest "Builder.build = reference fold add" arb_bag (fun bag ->
         let sols = bag_to_sols bag in
         let bld = Curve.Builder.create () in
         List.iter (Curve.Builder.add bld) sols;
-        obs (Curve.Builder.build bld)
-        = obs_ref
-            (List.fold_left Curve_reference.add Curve_reference.empty sols));
+        same_obs
+          (obs (Curve.Builder.build bld))
+          (obs_ref
+             (List.fold_left Curve_reference.add Curve_reference.empty sols)));
     qtest "add_curve twice = reference union" (QCheck.pair arb_bag arb_bag)
       (fun (ba, bb) ->
          let sa = bag_to_sols ba
@@ -62,28 +72,31 @@ let equiv =
          let bld = Curve.Builder.create () in
          Curve.Builder.add_curve bld (of_list sa);
          Curve.Builder.add_curve bld (of_list sb);
-         obs (Curve.Builder.build bld)
-         = obs_ref
-             (Curve_reference.union (Curve_reference.of_list sa)
-                (Curve_reference.of_list sb)));
+         same_obs
+           (obs (Curve.Builder.build bld))
+           (obs_ref
+              (Curve_reference.union (Curve_reference.of_list sa)
+                 (Curve_reference.of_list sb))));
     qtest "build ~grids of a curve = reference quantise" arb_bag (fun bag ->
         let sols = bag_to_sols bag in
         let bld = Curve.Builder.create () in
         Curve.Builder.add_curve bld (of_list sols);
-        obs (Curve.Builder.build ~grids:(3.0, 2.0, 5.0) bld)
-        = obs_ref
-            (Curve_reference.quantise ~req_grid:3.0 ~load_grid:2.0
-               ~area_grid:5.0
-               (Curve_reference.of_list sols)));
+        same_obs
+          (obs (Curve.Builder.build ~grids:(3.0, 2.0, 5.0) bld))
+          (obs_ref
+             (Curve_reference.quantise ~req_grid:3.0 ~load_grid:2.0
+                ~area_grid:5.0
+                (Curve_reference.of_list sols))));
     qtest "build ~grids (load only) = reference quantise_load" arb_bag
       (fun bag ->
          let sols = bag_to_sols bag in
          let bld = Curve.Builder.create () in
          Curve.Builder.add_curve bld (of_list sols);
-         obs (Curve.Builder.build ~grids:(0.0, 2.5, 0.0) bld)
-         = obs_ref
-             (Curve_reference.quantise_load ~grid:2.5
-                (Curve_reference.of_list sols)));
+         same_obs
+           (obs (Curve.Builder.build ~grids:(0.0, 2.5, 0.0) bld))
+           (obs_ref
+              (Curve_reference.quantise_load ~grid:2.5
+                 (Curve_reference.of_list sols))));
     qtest "build ~grids = quantise-then-add reference" arb_bag (fun bag ->
         (* The fused quantise-during-sweep path of the DP cores: pushing
            raw costs with grids must equal quantising each candidate and
@@ -100,7 +113,7 @@ let equiv =
                     s))
             Curve_reference.empty sols
         in
-        obs batch = obs_ref reference);
+        same_obs (obs batch) (obs_ref reference));
     qtest "cleared, reused builder = reference map_solutions"
       (QCheck.pair arb_bag arb_bag)
       (fun (b0, bag) ->
@@ -116,15 +129,17 @@ let equiv =
          ignore (Curve.Builder.build bld);
          Curve.Builder.clear bld;
          Curve.iter (fun s -> Curve.Builder.add bld (shift s)) (of_list sols);
-         obs (Curve.Builder.build bld)
-         = obs_ref
-             (Curve_reference.map_solutions shift
-                (Curve_reference.of_list sols)));
+         same_obs
+           (obs (Curve.Builder.build bld))
+           (obs_ref
+              (Curve_reference.map_solutions shift
+                 (Curve_reference.of_list sols))));
     qtest "cap = reference cap" arb_bag (fun bag ->
         let sols = bag_to_sols bag in
-        obs (Curve.cap ~max_size:5 (of_list sols))
-        = obs_ref
-            (Curve_reference.cap ~max_size:5 (Curve_reference.of_list sols)));
+        same_obs
+          (obs (Curve.cap ~max_size:5 (of_list sols)))
+          (obs_ref
+             (Curve_reference.cap ~max_size:5 (Curve_reference.of_list sols))));
     qtest "best_min_area early-exit = reference fold"
       (QCheck.pair arb_bag (QCheck.float_range 0.0 9.0))
       (fun (bag, req) ->
@@ -163,10 +178,10 @@ let modes =
            obs (Curve.Builder.build ?grids bld)
          in
          let g = (3.0, 2.0, 5.0) in
-         cycle ~grids:g b1 = obs (build_bag ~grids:g b1)
-         && cycle b2 = obs (build_bag b2)
-         && cycle ~grids:g b2 = obs (build_bag ~grids:g b2)
-         && cycle b1 = obs (build_bag b1));
+         same_obs (cycle ~grids:g b1) (obs (build_bag ~grids:g b1))
+         && same_obs (cycle b2) (obs (build_bag b2))
+         && same_obs (cycle ~grids:g b2) (obs (build_bag ~grids:g b2))
+         && same_obs (cycle b1) (obs (build_bag b1)));
     qtest "push_cost = push" arb_bag (fun bag ->
         let bld = Curve.Builder.create () in
         let c = Curve.Builder.new_cost () in
@@ -177,15 +192,17 @@ let modes =
              c.Curve.Builder.carea <- a;
              Curve.Builder.push_cost bld c i)
           bag;
-        obs (Curve.Builder.build bld) = obs (build_bag bag));
+        same_obs (obs (Curve.Builder.build bld)) (obs (build_bag bag)));
     qtest "epsilon 0 and unbounded max_frontier = exact"
       arb_bag
       (fun bag ->
          let g = (3.0, 2.0, 5.0) in
-         obs (build_bag ~epsilon:0.0 ~max_frontier:max_int bag)
-         = obs (build_bag bag)
-         && obs (build_bag ~grids:g ~epsilon:0.0 ~max_frontier:max_int bag)
-            = obs (build_bag ~grids:g bag));
+         same_obs
+           (obs (build_bag ~epsilon:0.0 ~max_frontier:max_int bag))
+           (obs (build_bag bag))
+         && same_obs
+              (obs (build_bag ~grids:g ~epsilon:0.0 ~max_frontier:max_int bag))
+              (obs (build_bag ~grids:g bag)));
     qtest "epsilon build: subset of exact, prunes only eps-dominated"
       (QCheck.pair arb_bag (QCheck.float_range 0.5 3.0))
       (fun (bag, eps) ->
@@ -214,7 +231,7 @@ let modes =
       (fun (bag, cap) ->
          let exact = obs (build_bag bag) in
          let capped = obs (build_bag ~max_frontier:cap bag) in
-         capped = List.filteri (fun i _ -> i < cap) exact) ]
+         same_obs capped (List.filteri (fun i _ -> i < cap) exact)) ]
 
 (* Regression for the batch cap: the four extreme points — best required
    time, least load, least area, and the last curve element — survive

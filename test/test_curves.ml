@@ -41,7 +41,7 @@ let brute_frontier sols =
     (fun s ->
        not
          (List.exists
-            (fun x -> Solution.dominates x s && key x <> key s)
+            (fun x -> Solution.dominates x s && cmp3 x s <> 0)
             sols))
     sols
 

@@ -35,7 +35,7 @@ let test_map_matches_list_map =
       List.for_all
         (fun domains ->
           Pool.with_pool ~domains (fun pool ->
-              Pool.map ~chunk pool f xs = expect))
+              List.equal Int.equal (Pool.map ~chunk pool f xs) expect))
         pool_sizes)
 
 let test_map_preserves_order () =

@@ -91,6 +91,43 @@ let test_flows_golden () =
   Alcotest.(check string) "flows I and II = golden" expected
     (line "lttree-ptree" ^ line "ptree-vg")
 
+(* Metamorphic: moving every terminal by one offset moves the tree and
+   changes no metric, on all four flows.  Offsets reach well into
+   negative coordinates, where rounding must not depend on the sign. *)
+let flow4 =
+  Flows.Hier
+    { cluster = { Merlin_hier.Cluster.default with n_clusters = Some 2 };
+      inner = flow3 }
+
+let translate (dx, dy) (net : Net.t) =
+  let move (p : Merlin_geometry.Point.t) =
+    Merlin_geometry.Point.make
+      (p.Merlin_geometry.Point.x + dx)
+      (p.Merlin_geometry.Point.y + dy)
+  in
+  { net with
+    Net.source = move net.Net.source;
+    sinks =
+      Array.map (fun s -> { s with Sink.pt = move s.Sink.pt }) net.Net.sinks }
+
+let metrics_line algo net =
+  let m = { (run algo net) with Flows.runtime = 0.0 } in
+  Merlin_report.Json.to_string
+    (Merlin_report.Metrics.to_json (Flows.wire_metrics m))
+
+let prop_translation (n, seed, offset) =
+  let net = mk_net n seed in
+  let moved = translate offset net in
+  List.for_all
+    (fun algo ->
+       String.equal (metrics_line algo net) (metrics_line algo moved))
+    [ flow1; flow2; flow3; flow4 ]
+
+let arb_translation =
+  QCheck.(
+    triple (int_range 2 6) (int_range 1 6)
+      (pair (int_range (-3000) 3000) (int_range (-3000) 3000)))
+
 let suite =
   ( "flows",
     [ Alcotest.test_case "all flows valid" `Slow test_all_flows_valid;
@@ -99,4 +136,7 @@ let suite =
       Alcotest.test_case "flow1 single sink" `Quick test_flow1_single_sink;
       Alcotest.test_case "flow3 loops" `Quick test_flow3_reports_loops;
       Alcotest.test_case "merlin >= flow1" `Slow test_merlin_beats_or_matches_flow1;
-      Alcotest.test_case "flows I and II golden" `Quick test_flows_golden ] )
+      Alcotest.test_case "flows I and II golden" `Quick test_flows_golden;
+      QCheck_alcotest.to_alcotest
+        (QCheck.Test.make ~name:"translating the net changes no metric"
+           ~count:6 arb_translation prop_translation) ] )

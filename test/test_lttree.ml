@@ -103,7 +103,9 @@ let props =
          let c = Lttree.curve ~buffers ~max_fanout:5 sinks in
          Curve.to_list c
          |> List.for_all (fun sol ->
-                sink_ids (Lttree.plan_sinks sol.Solution.data) = sink_ids sinks));
+                List.equal Int.equal
+                  (sink_ids (Lttree.plan_sinks sol.Solution.data))
+                  (sink_ids sinks)));
     qtest "wider fanout never hurts"
       QCheck.(int_range 0 200)
       (fun seed ->
