@@ -460,6 +460,29 @@ let alloc_budget_bytes_per_join = 16000.0
    x1.25, so losing the memo cannot land silently. *)
 let cells_budget_per_merge = 1.45
 
+(* Committed allocation budget for Flow I's logic phase: bytes
+   [Lttree.best] allocates, summed over the smoke Table 1 nets (n <= 10)
+   at Flow I's max_fanout 10, each call from a collected heap (without
+   the collection the same calls read up to 28% more, depending on what
+   ran before).  The answer-bounded DP measured 13.12 MB here, against
+   about 230 MB for the unbounded DP it replaced (EXPERIMENTS.md "LTTREE
+   bound").  The --smoke run fails above budget x1.25, so a return to
+   building curves nobody reads cannot land silently. *)
+let lttree_budget_bytes = 13.12e6
+
+let lttree_smoke_bytes () =
+  Net_gen.table1_nets tech
+  |> List.filter (fun (_, _, net) -> Net.n_sinks net <= 10)
+  |> List.fold_left
+       (fun acc (_, _, net) ->
+          Gc.full_major ();
+          let before = Gc.allocated_bytes () in
+          ignore
+            (Merlin_lttree.Lttree.best ~buffers ~max_fanout:10
+               ~driver:net.Net.driver (Array.to_list net.Net.sinks));
+          acc +. (Gc.allocated_bytes () -. before))
+       0.0
+
 type kernel_snap = {
   k_runs : int;
   k_cells : int;
@@ -547,16 +570,20 @@ let curve_table ~opts () =
     [ "row"; "eps"; "cap"; "req (ps)"; "area"; "rt(s)";
       "joins"; "adds/join"; "B/join"; "front/join"; "cells/merge" ]
   in
-  let rows, wall_s =
+  let (rows, lttree_bytes), wall_s =
     Clock.timed (fun () ->
         (* Sequential on purpose: Gc.allocated_bytes deltas are
            per-domain, and one domain keeps every row's bytes columns
            attributable to that row alone. *)
-        List.map
-          (fun (label, n, epsilon, max_frontier) ->
-             curve_row ~label ~n ~epsilon ~max_frontier ())
-          rows_spec)
+        let rows =
+          List.map
+            (fun (label, n, epsilon, max_frontier) ->
+               curve_row ~label ~n ~epsilon ~max_frontier ())
+            rows_spec
+        in
+        (rows, lttree_smoke_bytes ()))
   in
+  progress "[curve] LTTREE on the smoke Table 1 nets: %.0f bytes" lttree_bytes;
   progress "[curve] wall %.2fs" wall_s;
   let cells =
     List.map
@@ -595,9 +622,11 @@ let curve_table ~opts () =
   in
   write_json ~opts ~table:"curve" ~wall_s
     (json_rows
-     @ [ Json.Obj [ ("row", js "budget");
+     @ [ Json.Obj [ ("row", js "lttree"); ("lttree_bytes", jf lttree_bytes) ];
+         Json.Obj [ ("row", js "budget");
                     ("bytes_per_join_budget", jf alloc_budget_bytes_per_join);
-                    ("cells_per_merge_budget", jf cells_budget_per_merge) ] ]);
+                    ("cells_per_merge_budget", jf cells_budget_per_merge);
+                    ("lttree_budget_bytes", jf lttree_budget_bytes) ] ]);
   (* The emitter must keep producing documents the repo's own JSON layer
      parses: read the file straight back.  Any Parse_error here fails the
      @bench-smoke alias. *)
@@ -613,8 +642,14 @@ let curve_table ~opts () =
       | Some (Json.List (_ :: _)) -> ()
       | Some _ | None ->
         failwith "Bench.curve_table: emitted JSON lost its rows"));
-  (* Allocation- and work-regression guards: the exact rows must stay
-     within 25% of the committed budgets. *)
+  (* Allocation- and work-regression guards: LTTREE's bytes and the
+     exact rows must stay within 25% of the committed budgets. *)
+  if opts.smoke && lttree_bytes > lttree_budget_bytes *. 1.25 then
+    failwith
+      (Printf.sprintf
+         "Bench.curve_table: Lttree.best allocates %.0f bytes on the smoke \
+          Table 1 nets, over budget %.0f x1.25 — the LTTREE bound regressed"
+         lttree_bytes lttree_budget_bytes);
   if opts.smoke then
     List.iter
       (fun (label, _, eps, cap, _, d) ->

@@ -33,16 +33,13 @@ val plan_area : plan -> float
 
 val n_levels : plan -> int
 
-(** [curve ~buffers ~max_fanout sinks] is the non-inferior
-    (req, load, area) curve of LT-Tree-I plans for the sinks, each level
-    limited to [max_fanout] children.  Sinks are sorted internally by
-    required time.  Raises [Invalid_argument] on an empty sink list. *)
-val curve :
-  buffers:Buffer_lib.t -> max_fanout:int -> Sink.t list -> plan Curve.t
-
-(** [best ~buffers ~max_fanout ~driver sinks] picks the plan maximising
-    the required time at the driver input (gate delay of [driver]
-    applied). *)
+(** [best ~buffers ~max_fanout ~driver sinks] is the LT-Tree-I plan
+    maximising the required time at the driver input (gate delay of
+    [driver] applied), each level limited to [max_fanout] children; ties
+    go to smaller load, then smaller buffer area.  The solution carries
+    that required time, the load the plan presents to the driver and its
+    total buffer area.  Sinks are sorted internally by required time.
+    Raises [Invalid_argument] on an empty sink list or [max_fanout < 2]. *)
 val best :
   buffers:Buffer_lib.t ->
   max_fanout:int ->

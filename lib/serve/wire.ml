@@ -386,14 +386,17 @@ let rec algo_of_json j =
       | None -> Ok 10
       | Some _ -> fint "max_fanout" j
     in
-    Ok (Flows.Lttree_ptree { max_fanout })
+    if max_fanout < 2 then Error "lttree-ptree: max_fanout must be >= 2"
+    else Ok (Flows.Lttree_ptree { max_fanout })
   | "ptree-vg" ->
     let* refine_seg =
       match Json.member "refine_seg" j with
       | None -> Ok None
       | Some _ -> Result.map Option.some (fint "refine_seg" j)
     in
-    Ok (Flows.Ptree_vg { refine_seg })
+    (match refine_seg with
+     | Some seg when seg < 1 -> Error "ptree-vg: refine_seg must be >= 1"
+     | Some _ | None -> Ok (Flows.Ptree_vg { refine_seg }))
   | "merlin" ->
     let* objective =
       match Json.member "objective" j with

@@ -540,6 +540,52 @@ let decode_rejects () =
        (Wire.decode_client
           "{\"v\":2,\"job\":\"x\",\"seq\":0,\"type\":\"batch\",\"spec\":{},\"nets\":[],\"manifest\":[{\"name\":3}]}"))
 
+(* Flow knobs the flows would reject with Invalid_argument inside a pool
+   task are refused at decode instead, with the flow's own message. *)
+let decode_rejects_flow_knobs () =
+  let base =
+    Wire.spec_to_json
+      { Flows.tech; buffers; algo = Flows.Lttree_ptree { max_fanout = 10 } }
+  in
+  let with_algo algo =
+    match base with
+    | Json.Obj fields ->
+      Json.Obj
+        (List.map
+           (fun (k, v) -> if String.equal k "algo" then (k, algo) else (k, v))
+           fields)
+    | _ -> Alcotest.fail "spec_to_json is not an object"
+  in
+  let decode flow field v =
+    Wire.spec_of_json
+      (with_algo
+         (Json.Obj [ ("flow", Json.Str flow); (field, Json.Num (float_of_int v)) ]))
+  in
+  let refused what msg = function
+    | Error m -> Alcotest.(check string) what msg m
+    | Ok _ -> Alcotest.failf "%s: accepted" what
+  in
+  let accepted what = function
+    | Ok _ -> ()
+    | Error m -> Alcotest.failf "%s: %s" what m
+  in
+  List.iter
+    (fun v ->
+       refused
+         (Printf.sprintf "max_fanout %d" v)
+         "lttree-ptree: max_fanout must be >= 2"
+         (decode "lttree-ptree" "max_fanout" v))
+    [ 1; 0; -3 ];
+  List.iter
+    (fun v ->
+       refused
+         (Printf.sprintf "refine_seg %d" v)
+         "ptree-vg: refine_seg must be >= 1"
+         (decode "ptree-vg" "refine_seg" v))
+    [ 0; -3 ];
+  accepted "max_fanout 2" (decode "lttree-ptree" "max_fanout" 2);
+  accepted "refine_seg 1" (decode "ptree-vg" "refine_seg" 1)
+
 (* ---------------- cache keys ---------------- *)
 
 let mk_sink id (x, y, cap, req) =
@@ -603,6 +649,8 @@ let suite =
       Alcotest.test_case "server msg round trip" `Quick server_msg_roundtrip;
       Alcotest.test_case "v1 compatibility decode" `Quick v1_compat_decode;
       Alcotest.test_case "decoder rejects bad input" `Quick decode_rejects;
+      Alcotest.test_case "decoder rejects bad flow knobs" `Quick
+        decode_rejects_flow_knobs;
       Alcotest.test_case "fingerprint vs sink order" `Quick
         test_fingerprint_sink_order;
       Alcotest.test_case "fingerprint save/load" `Quick
