@@ -440,22 +440,23 @@ let hier_table ~opts pool () =
 (* Curve-kernel workload: bytes moved and frontier width               *)
 (* ------------------------------------------------------------------ *)
 
-(* Committed allocation budget for the exact-mode workload below:
-   bytes allocated per join build (Gc.allocated_bytes delta around the
-   join kernel entry point; the guarded exact rows measured 15.3K at
-   n=10 and 13.8K at n=12 with the arena-reused, tuple-free kernel —
-   see EXPERIMENTS.md "Bytes moved").  The --smoke run fails when the
-   measured value exceeds this by more than 25%, so an accidental
-   return to per-build scratch or per-candidate boxing cannot land
-   silently.  Recalibrate (with the measured value from a quiet
+(* Committed allocation budget for the workload below: bytes allocated
+   per join build (Gc.allocated_bytes delta around the join kernel entry
+   point).  The rows measured 15.3K at n=10 and 13.8K at n=12 with the
+   arena-reused, tuple-free kernel (EXPERIMENTS.md "Bytes moved"), and
+   read 16.8K and 15.8K now that the cell memo leaves only the wider
+   joins and every row starts from a collected heap.  The --smoke run
+   fails when the measured value exceeds this by more than 25%, so an
+   accidental return to per-build scratch or per-candidate boxing cannot
+   land silently.  Recalibrate (with the measured value from a quiet
    machine, recorded in EXPERIMENTS.md) when the kernel deliberately
    changes. *)
 let alloc_budget_bytes_per_join = 16000.0
 
 (* Committed work budget for the same rows: *PTREE cells computed per
    merge, i.e. per *PTREE run.  Cells memoised by a construction's context
-   are not computed again, so this is the memo's footprint: the exact
-   row measured 1.44 at n=10 with the memo and 11.07 without it
+   are not computed again, so this is the memo's footprint: the row
+   measured 1.44 at n=10 with the memo and 11.07 without it
    (EXPERIMENTS.md "Cell memo").  The --smoke run fails above budget
    x1.25, so losing the memo cannot land silently. *)
 let cells_budget_per_merge = 1.45
@@ -466,9 +467,10 @@ let cells_budget_per_merge = 1.45
    the collection the same calls read up to 28% more, depending on what
    ran before).  The answer-bounded DP measured 13.12 MB here, against
    about 230 MB for the unbounded DP it replaced (EXPERIMENTS.md "LTTREE
-   bound").  The --smoke run fails above budget x1.25, so a return to
-   building curves nobody reads cannot land silently. *)
-let lttree_budget_bytes = 13.12e6
+   bound"), and 2.74 MB once [Delay_model.delay] stopped allocating a
+   pair per call.  The --smoke run fails above budget x1.25, so a return
+   to building curves nobody reads cannot land silently. *)
+let lttree_budget_bytes = 2.74e6
 
 let lttree_smoke_bytes () =
   Net_gen.table1_nets tech
@@ -522,19 +524,16 @@ let snap_delta a b =
 let per j v = if j = 0 then 0.0 else float_of_int v /. float_of_int j
 
 (* One row of the curve workload: the full MERLIN flow (Flow III) on a
-   seeded net under the scaled config with the given frontier knobs.
-   Exact mode (epsilon 0, cap off) is the reference the golden route
-   pins; the other rows form Ablation G (quality/runtime/bytes vs the
-   epsilon and frontier-cap knobs). *)
-let curve_row ~label ~n ~epsilon ~max_frontier () =
-  progress "[curve] %s (n=%d eps=%g cap=%d)..." label n epsilon max_frontier;
+   seeded net under the scaled config, the setting the golden route
+   pins.  The row starts from a collected heap, so its bytes columns
+   read the same whichever rows ran before it. *)
+let curve_row ~label ~n () =
+  progress "[curve] %s (n=%d)..." label n;
   let net = Net_gen.random_net ~seed:42 ~name:(Printf.sprintf "curve%d" n) ~n tech in
   let cfg =
-    { (Merlin_core.Config.scaled n) with
-      Merlin_core.Config.max_iters = 2;
-      curve_epsilon = epsilon;
-      max_frontier }
+    { (Merlin_core.Config.scaled n) with Merlin_core.Config.max_iters = 2 }
   in
+  Gc.full_major ();
   let before = snap_kernel () in
   let m =
     Flows.run
@@ -545,29 +544,15 @@ let curve_row ~label ~n ~epsilon ~max_frontier () =
       net
   in
   let d = snap_delta before (snap_kernel ()) in
-  (label, n, epsilon, max_frontier, m, d)
+  (label, n, m, d)
 
 let curve_table ~opts () =
   let rows_spec =
-    if opts.smoke then
-      [ ("exact-n10", 10, 0.0, 0);
-        ("eps20-n10", 10, 20.0, 0);
-        ("cap4-n10", 10, 0.0, 4) ]
-    else
-      [ ("exact-n10", 10, 0.0, 0);
-        ("exact-n12", 12, 0.0, 0);
-        (* Ablation G: epsilon sweep (quantised-metric slack, in the
-           units of the req/load/area coordinates) ... *)
-        ("eps10-n12", 12, 10.0, 0);
-        ("eps20-n12", 12, 20.0, 0);
-        ("eps40-n12", 12, 40.0, 0);
-        (* ... and frontier-cap sweep (max survivors kept per build). *)
-        ("cap8-n12", 12, 0.0, 8);
-        ("cap5-n12", 12, 0.0, 5);
-        ("cap3-n12", 12, 0.0, 3) ]
+    if opts.smoke then [ ("exact-n10", 10) ]
+    else [ ("exact-n10", 10); ("exact-n12", 12) ]
   in
   let header =
-    [ "row"; "eps"; "cap"; "req (ps)"; "area"; "rt(s)";
+    [ "row"; "req (ps)"; "area"; "rt(s)";
       "joins"; "adds/join"; "B/join"; "front/join"; "cells/merge" ]
   in
   let (rows, lttree_bytes), wall_s =
@@ -576,10 +561,7 @@ let curve_table ~opts () =
            per-domain, and one domain keeps every row's bytes columns
            attributable to that row alone. *)
         let rows =
-          List.map
-            (fun (label, n, epsilon, max_frontier) ->
-               curve_row ~label ~n ~epsilon ~max_frontier ())
-            rows_spec
+          List.map (fun (label, n) -> curve_row ~label ~n ()) rows_spec
         in
         (rows, lttree_smoke_bytes ()))
   in
@@ -587,8 +569,8 @@ let curve_table ~opts () =
   progress "[curve] wall %.2fs" wall_s;
   let cells =
     List.map
-      (fun (label, _n, eps, cap, m, d) ->
-         [ S label; F eps; I cap; F m.Flows.root_req; F m.Flows.area;
+      (fun (label, _n, m, d) ->
+         [ S label; F m.Flows.root_req; F m.Flows.area;
            F m.Flows.runtime; I d.k_joins;
            F (per d.k_joins d.k_join_adds);
            F (per d.k_joins d.k_bytes_join);
@@ -598,15 +580,13 @@ let curve_table ~opts () =
   in
   print
     ~title:
-      "Curve kernel: bytes allocated and frontier width per join build \
-       (exact mode plus Ablation G epsilon/frontier-cap sweeps)"
+      "Curve kernel: bytes allocated and frontier width per join build"
     ~header cells;
   let json_rows =
     List.map
-      (fun (label, n, eps, cap, m, d) ->
+      (fun (label, n, m, d) ->
          Json.Obj
-           [ ("row", js label); ("sinks", ji n); ("epsilon", jf eps);
-             ("max_frontier", ji cap); ("req", jf m.Flows.root_req);
+           [ ("row", js label); ("sinks", ji n); ("req", jf m.Flows.root_req);
              ("area", jf m.Flows.area); ("runtime", jf m.Flows.runtime);
              ("joins", ji d.k_joins); ("join_adds", ji d.k_join_adds);
              ("join_survivors", ji d.k_join_survivors);
@@ -642,8 +622,8 @@ let curve_table ~opts () =
       | Some (Json.List (_ :: _)) -> ()
       | Some _ | None ->
         failwith "Bench.curve_table: emitted JSON lost its rows"));
-  (* Allocation- and work-regression guards: LTTREE's bytes and the
-     exact rows must stay within 25% of the committed budgets. *)
+  (* Allocation- and work-regression guards: LTTREE's bytes and every
+     row must stay within 25% of the committed budgets. *)
   if opts.smoke && lttree_bytes > lttree_budget_bytes *. 1.25 then
     failwith
       (Printf.sprintf
@@ -652,23 +632,21 @@ let curve_table ~opts () =
          lttree_bytes lttree_budget_bytes);
   if opts.smoke then
     List.iter
-      (fun (label, _, eps, cap, _, d) ->
-         if eps = 0.0 && cap = 0 then begin
-           let bpj = per d.k_joins d.k_bytes_join in
-           if bpj > alloc_budget_bytes_per_join *. 1.25 then
-             failwith
-               (Printf.sprintf
-                  "Bench.curve_table: %s allocates %.0f bytes/join, over \
-                   budget %.0f x1.25 — the zero-allocation kernel regressed"
-                  label bpj alloc_budget_bytes_per_join);
-           let cpm = per d.k_runs d.k_cells in
-           if cpm > cells_budget_per_merge *. 1.25 then
-             failwith
-               (Printf.sprintf
-                  "Bench.curve_table: %s computes %.2f cells/merge, over \
-                   budget %.2f x1.25 — the *PTREE cell memo regressed"
-                  label cpm cells_budget_per_merge)
-         end)
+      (fun (label, _, _, d) ->
+         let bpj = per d.k_joins d.k_bytes_join in
+         if bpj > alloc_budget_bytes_per_join *. 1.25 then
+           failwith
+             (Printf.sprintf
+                "Bench.curve_table: %s allocates %.0f bytes/join, over \
+                 budget %.0f x1.25 — the zero-allocation kernel regressed"
+                label bpj alloc_budget_bytes_per_join);
+         let cpm = per d.k_runs d.k_cells in
+         if cpm > cells_budget_per_merge *. 1.25 then
+           failwith
+             (Printf.sprintf
+                "Bench.curve_table: %s computes %.2f cells/merge, over \
+                 budget %.2f x1.25 — the *PTREE cell memo regressed"
+                label cpm cells_budget_per_merge))
       rows
 
 (* ------------------------------------------------------------------ *)

@@ -90,9 +90,8 @@ let construct ?candidates ~cfg ~tech ~buffers (net : Net.t) order =
      (DESIGN.md §9 "Cell memo").  Never shared across constructions, so
      concurrent flows never touch the same one. *)
   let context =
-    Star_ptree.context ~epsilon:cfg.Config.curve_epsilon
-      ~max_frontier:cfg.Config.max_frontier ~tech ~buffers
-      ~trials:cfg.Config.buffer_trials ~max_curve:cfg.Config.max_curve
+    Star_ptree.context ~tech ~buffers ~trials:cfg.Config.buffer_trials
+      ~max_curve:cfg.Config.max_curve
       ~grids:(cfg.Config.quant_req, cfg.Config.quant_load, cfg.Config.quant_area)
       ~bbox_slack:cfg.Config.bbox_slack ~candidates ()
   in
@@ -372,9 +371,7 @@ let construct ?candidates ~cfg ~tech ~buffers (net : Net.t) order =
             | None -> Curve.empty
             | Some bld ->
               Curve.cap ~scratch:cap_bld ~max_size:cfg.Config.max_curve
-                (Curve.Builder.build ~name:"Bubble_construct.merge"
-                   ~epsilon:cfg.Config.curve_epsilon
-                   ~max_frontier:cfg.Config.max_frontier bld))
+                (Curve.Builder.build ~name:"Bubble_construct.merge" bld))
     in
     gamma_put w.cov_len w.e_out w.r_out capped
   in

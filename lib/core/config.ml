@@ -13,8 +13,6 @@ type t = {
   chain_placement : chain_placement;
   bubbling : bool;
   max_iters : int;
-  curve_epsilon : float;
-  max_frontier : int;
 }
 
 let default =
@@ -29,9 +27,7 @@ let default =
     full_hanan = false;
     chain_placement = Flush_ends;
     bubbling = true;
-    max_iters = 10;
-    curve_epsilon = 0.0;
-    max_frontier = 0 }
+    max_iters = 10 }
 
 let paper_table1 =
   { default with
@@ -81,8 +77,3 @@ let validate t =
   if t.max_iters < 1 then invalid_arg "Config.validate: max_iters < 1";
   if t.quant_req < 0.0 || t.quant_load < 0.0 || t.quant_area < 0.0 then
     invalid_arg "Config.validate: negative quantisation grid";
-  if t.curve_epsilon < 0.0 then
-    invalid_arg "Config.validate: curve_epsilon < 0";
-  if t.max_frontier < 0 then invalid_arg "Config.validate: max_frontier < 0";
-  if t.max_frontier = 1 then
-    invalid_arg "Config.validate: max_frontier = 1 (use >= 2, or 0 for off)"

@@ -1,9 +1,11 @@
 (** Tuning knobs of the MERLIN engine.
 
     The defaults follow the paper where it states values (alpha = 15 for
-    Table 1, alpha = 10 and reduced Hanan candidates for Table 2); the
-    pruning knobs implement the pseudo-polynomial provisos of Lemmas 1/10
-    and are documented per-experiment in EXPERIMENTS.md. *)
+    Table 1, alpha = 10 and reduced Hanan candidates for Table 2).  The
+    [quant_*] grids are the pseudo-polynomial provisos of Lemmas 1/10
+    and the only frontier pruning: every frontier build keeps the exact
+    non-inferior set of the quantised coordinates, and [max_curve] then
+    caps the result.  Per-experiment settings are in EXPERIMENTS.md. *)
 
 type chain_placement =
   | All_positions
@@ -46,19 +48,6 @@ type t = {
           single given order (chi_0 only) — the ablation that isolates the
           paper's core contribution *)
   max_iters : int;  (** bound on MERLIN outer-loop iterations *)
-  curve_epsilon : float;
-      (** epsilon-domination slack applied by every frontier build in the
-          *PTREE kernel (same units as the quantised coordinates): a
-          candidate within [curve_epsilon] (load and area, at no better
-          req) of a kept point is dropped.  0 disables — exact mode is
-          byte-identical to builds without the knob.  DESIGN.md §9. *)
-  max_frontier : int;
-      (** hard cap on survivors kept by every frontier build (the
-          width-capped sweep keeps the best-req prefix of the exact
-          frontier).  0 disables; >= 2 otherwise.  Unlike [max_curve]
-          (applied after a build by {!Curve.cap}, keeping spread), this
-          truncates inside the sweep and so also bounds the work of
-          downstream joins.  DESIGN.md §9. *)
 }
 
 val default : t

@@ -23,7 +23,7 @@ type close_payload =
    and sub-terminal bases never interleave) and cap selections.  A
    cleared builder is observationally a fresh one, so sharing them
    across runs changes no result.  [cost] is the flat cost record
-   threaded through every cost computation (see [run]). *)
+   threaded through every cost computation (see [run_in]). *)
 type scratch = {
   join_bld : (Build.t Solution.t * Build.t Solution.t) Curve.Builder.b;
   close_bld : close_payload Curve.Builder.b;
@@ -64,8 +64,6 @@ module Runs = Hashtbl.Make (struct
    is a function of its key and these knobs, which is why they are fixed
    when the context is made. *)
 type context = {
-  epsilon : float;
-  max_frontier : int;
   tech : Merlin_tech.Tech.t;
   subset : Merlin_tech.Buffer_lib.t;
   max_curve : int;
@@ -86,11 +84,10 @@ type terminal =
   | Sink_term of Merlin_net.Sink.t
   | Sub_term of sub
 
-let context ?(epsilon = 0.0) ?(max_frontier = 0) ~tech ~buffers ~trials
-    ~max_curve ~grids ~bbox_slack ~candidates () =
-  { epsilon; max_frontier; tech; subset = buffer_subset buffers ~trials;
-    max_curve; grids; bbox_slack; candidates; scratch = new_scratch ();
-    cells = Runs.create 16 }
+let context ~tech ~buffers ~trials ~max_curve ~grids ~bbox_slack ~candidates
+    () =
+  { tech; subset = buffer_subset buffers ~trials; max_curve; grids;
+    bbox_slack; candidates; scratch = new_scratch (); cells = Runs.create 16 }
 
 let sub curves = { id = Atomic.fetch_and_add next_sub 1; curves }
 
@@ -150,21 +147,18 @@ let add_bytes counter before =
        (int_of_float (Gc.allocated_bytes () -. before)))
 
 let run_in ctx ~active ~terminals =
-  let { epsilon; max_frontier; tech; subset; max_curve; grids; bbox_slack;
-        candidates; scratch; cells } = ctx in
+  let { tech; subset; max_curve; grids; bbox_slack; candidates; scratch;
+        cells } = ctx in
   let m = Array.length terminals and k = Array.length candidates in
-  if m = 0 then invalid_arg "Star_ptree.run: no terminals";
-  if k = 0 then invalid_arg "Star_ptree.run: no candidates";
+  if m = 0 then invalid_arg "Star_ptree.run_in: no terminals";
+  if k = 0 then invalid_arg "Star_ptree.run_in: no candidates";
   if Array.length active = 0 then
-    invalid_arg "Star_ptree.run: no active candidates";
+    invalid_arg "Star_ptree.run_in: no active candidates";
   Atomic.incr n_runs;
   let term_ids = Array.map terminal_key terminals in
   let req_grid, load_grid, area_grid = grids in
-  (* Steady-state cells allocate only their survivor arrays.  [build]
-     wraps Curve.Builder.build with the run-wide epsilon / frontier-cap
-     knobs (both default off = exact). *)
+  (* Steady-state cells allocate only their survivor arrays. *)
   let { join_bld; close_bld; extend_bld; cap_bld; cost } = scratch in
-  let build ~name bld = Curve.Builder.build ~name ~epsilon ~max_frontier bld in
   let finish curve = Curve.cap ~scratch:cap_bld ~max_size:max_curve curve in
   (* One flat cost record threaded through every cost computation of the
      run: Build.*_cost_into writes the three coordinates as unboxed
@@ -217,7 +211,7 @@ let run_in ctx ~active ~terminals =
                subset)
         curve;
       let out =
-        build ~name:"Star_ptree.close_buffers" bld
+        Curve.Builder.build ~name:"Star_ptree.close_buffers" bld
         |> Curve.map_data (function
           | Kept data -> data
           | Buffered (b, sol) -> (Build.add_root_buffer b sol).Solution.data)
@@ -285,7 +279,9 @@ let run_in ctx ~active ~terminals =
          push_quant bld sol))
       computed;
     let out =
-      finish (materialise_extend root (build ~name:"Star_ptree.pull" bld))
+      finish
+        (materialise_extend root
+           (Curve.Builder.build ~name:"Star_ptree.pull" bld))
     in
     add_bytes bytes_pull before;
     out
@@ -348,7 +344,8 @@ let run_in ctx ~active ~terminals =
                  Build.extend_wire_cost_into cost tech ~to_:root sol;
                  push_quant bld sol))
               sub.curves;
-            materialise_extend root (build ~name:"Star_ptree.raw" bld)
+            materialise_extend root
+              (Curve.Builder.build ~name:"Star_ptree.raw" bld)
         in
         add_bytes bytes_base before;
         out
@@ -379,7 +376,7 @@ let run_in ctx ~active ~terminals =
               left
         done;
         let out =
-          build ~name:"Star_ptree.join" bld
+          Curve.Builder.build ~name:"Star_ptree.join" bld
           |> Curve.map_data (fun (a, b) -> (Build.join root a b).Solution.data)
         in
         Atomic.incr n_joins;
@@ -395,10 +392,3 @@ let run_in ctx ~active ~terminals =
   in
   (* The top cell stays in the table for later runs: hand out a copy. *)
   Array.copy (cell 0 (m - 1)).computed
-
-let run ?epsilon ?max_frontier ~tech ~buffers ~trials ~max_curve ~grids
-    ~bbox_slack ~candidates ~active ~terminals () =
-  run_in
-    (context ?epsilon ?max_frontier ~tech ~buffers ~trials ~max_curve ~grids
-       ~bbox_slack ~candidates ())
-    ~active ~terminals

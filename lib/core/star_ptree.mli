@@ -33,12 +33,13 @@ open Merlin_curves
     share it between tasks. *)
 type context
 
-(** [context ?epsilon ?max_frontier ~tech ~buffers ~trials ~max_curve
-    ~grids ~bbox_slack ~candidates ()] is an empty memo for runs with
-    these knobs (see {!run}). *)
+(** [context ~tech ~buffers ~trials ~max_curve ~grids ~bbox_slack
+    ~candidates ()] is an empty memo for runs with these knobs.
+    [trials] bounds how many library buffers are tried at each root
+    (evenly spaced over the graded library); [grids] are the (req, load,
+    area) quantisation buckets of {!Curve.Builder.build}; [max_curve]
+    caps every curve the DP keeps ({!Curve.cap}). *)
 val context :
-  ?epsilon:float ->
-  ?max_frontier:int ->
   tech:Tech.t ->
   buffers:Buffer_lib.t ->
   trials:int ->
@@ -73,29 +74,20 @@ val drop : context -> terminal array -> unit
     type, shared with callers that plan runs of terminals. *)
 module Runs : Hashtbl.S with type key = int array
 
-(** [run_in ctx ~active ~terminals] is {!run} with [ctx]'s knobs, reusing
-    and extending [ctx]'s cells; the result is the same as {!run}'s. *)
+(** [run_in ctx ~active ~terminals] is the per-candidate solution curve
+    array (length [Array.length candidates]) for routing all [terminals]
+    rooted at each candidate whose index appears in [active]; curves at
+    inactive indices are empty.  Every returned curve is closed under
+    root-buffer insertion.  It reuses and extends [ctx]'s cells, and a
+    result never depends on which cells were already there: a fresh
+    context per call gives the same curves.  Raises [Invalid_argument]
+    on empty [terminals], [candidates] or [active]. *)
 val run_in :
   context -> active:int array -> terminals:terminal array -> Build.t Curve.t array
 
-(** [run ~tech ~buffers ~trials ~max_curve ~grids ~bbox_slack
-    ~candidates ~active ~terminals ()] is the per-candidate solution
-    curve array (length [Array.length candidates]) for routing all
-    [terminals] rooted at each candidate whose index appears in
-    [active]; curves at inactive indices are empty.  [trials] bounds how
-    many library buffers are tried at each root (evenly spaced over the
-    graded library); [grids] are the (req, load, area) quantisation
-    buckets of {!Curve.quantise}.  Every returned curve is closed under
-    root-buffer insertion.  [epsilon] and [max_frontier] are
-    {!Curve.Builder.build}'s frontier knobs, applied to every build of
-    the DP ({!Config.t}'s [curve_epsilon] / [max_frontier]; both default
-    off, leaving the exact kernel byte-identical).  It is {!run_in} on
-    a fresh {!context}, so it shares no cell with any other call.
-    Raises [Invalid_argument] on empty [terminals], [candidates] or
-    [active]. *)
 (**/**)
 (* Operation counters: they count computed work only, so a memoised
-   cell adds nothing.  [n_runs] counts {!run} and {!run_in} calls;
+   cell adds nothing.  [n_runs] counts {!run_in} calls;
    every computed cell is held by its context until {!drop}, which adds
    the cells it drops to [n_dropped]. *)
 val n_runs : int Atomic.t
@@ -117,18 +109,3 @@ val bytes_close : int Atomic.t
 val bytes_pull : int Atomic.t
 val bytes_base : int Atomic.t
 (**/**)
-
-val run :
-  ?epsilon:float ->
-  ?max_frontier:int ->
-  tech:Tech.t ->
-  buffers:Buffer_lib.t ->
-  trials:int ->
-  max_curve:int ->
-  grids:float * float * float ->
-  bbox_slack:float ->
-  candidates:Point.t array ->
-  active:int array ->
-  terminals:terminal array ->
-  unit ->
-  Build.t Curve.t array

@@ -9,40 +9,6 @@ let set_enabled b = enabled_ref := b
 let fail ~name msg =
   invalid_arg (Printf.sprintf "Contract.check: %s: %s" name msg)
 
-let strictly_dominates a b =
-  Solution.dominates a b && Solution.compare_key a b <> 0
-
-let verify_sorted ~name sols =
-  let rec sorted = function
-    | [] | [ _ ] -> ()
-    | a :: (b :: _ as rest) ->
-      if Solution.compare_key a b >= 0 then
-        fail ~name "solutions out of compare_key order";
-      sorted rest
-  in
-  sorted sols
-
-let verify_frontier ~name sols =
-  let rec frontier = function
-    | [] -> ()
-    | s :: rest ->
-      List.iter
-        (fun x ->
-           if strictly_dominates s x || strictly_dominates x s then
-             fail ~name "curve holds an inferior solution")
-        rest;
-      frontier rest
-  in
-  frontier sols
-
-(* O(n^2): the full invariant, list flavour. *)
-let check ~name sols =
-  if !enabled_ref then begin
-    verify_sorted ~name sols;
-    verify_frontier ~name sols
-  end;
-  sols
-
 let verify_sorted_arr ~name sols =
   for i = 0 to Array.length sols - 2 do
     if Solution.compare_key sols.(i) sols.(i + 1) >= 0 then
@@ -53,9 +19,9 @@ let verify_sorted_arr ~name sols =
    [verify_sorted_arr] first).  Under that order an element can only be
    strictly dominated by an earlier one, so a single (load, area)
    minima-staircase sweep — the same structure [Curve.Builder.build]
-   prunes with — answers every dominance query: O(n log n) per check
-   instead of the former pairwise O(n^2) scan, which made contract-mode
-   runs quadratic per join. *)
+   prunes with — answers every dominance query in O(n log n).  It is a
+   deliberate second copy of the builder's staircase: the cross-check
+   of a sweep must not share the sweep's code (DESIGN.md §9). *)
 let verify_frontier_arr ~name sols =
   let n = Array.length sols in
   let st_load = Float.Array.create n in

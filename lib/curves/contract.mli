@@ -13,12 +13,10 @@
 (** Programmatic override, used by tests. *)
 val set_enabled : bool -> unit
 
-(** [check ~name sols] returns [sols]; when enabled, first asserts both
-    invariants and raises [Invalid_argument] naming [name] (the curve
-    operation) on a violation.  O(n²) when enabled. *)
-val check : name:string -> 'a Solution.t list -> 'a Solution.t list
-
-(** Array flavour of {!check}, used by {!Curve.Builder.build} so
-    verification never round-trips through a list.  O(n log n) when
-    enabled. *)
+(** [check_arr ~name sols] returns [sols]; when enabled, first asserts
+    both invariants and raises [Invalid_argument] naming [name] (the
+    curve operation) on a violation.  Every {!Curve.Builder.build} runs
+    it.  O(n log n) when enabled, through its own staircase sweep,
+    written apart from the builder's so it can catch the builder's
+    bugs. *)
 val check_arr : name:string -> 'a Solution.t array -> 'a Solution.t array

@@ -35,9 +35,6 @@ let to_array = function Empty -> [||] | F arr -> arr
 
 let to_list c = Array.to_list (to_array c)
 
-let strictly_dominates a b =
-  Solution.dominates a b && Solution.compare_key a b <> 0
-
 module Builder = struct
   type 'a b = {
     mutable req : floatarray;
@@ -316,26 +313,12 @@ module Builder = struct
      into disjoint bit fields — instead of chasing three floatarrays
      through a comparator; the float comparator remains as the fallback
      for un- or partially-quantised builds and for out-of-range buckets,
-     and orders identically (DESIGN.md §9).
-
-     [epsilon] > 0 additionally drops a candidate when some kept point
-     is within [epsilon] of it in both load and area (at automatically
-     no-worse req, given the sweep order) — epsilon-domination subsumes
-     exact domination, so the kept set stays mutually non-inferior.
-     [max_frontier] > 0 stops the sweep after that many survivors; the
-     result is the best-req prefix of the unbounded frontier.  Both
-     default off, and exact mode is byte-identical to the knob-free
-     build. *)
-  let build ?(name = "Curve.Builder.build") ?(grids = (0.0, 0.0, 0.0))
-      ?(epsilon = 0.0) ?(max_frontier = 0) b =
+     and orders identically (DESIGN.md §9). *)
+  let build ?(name = "Curve.Builder.build") ?(grids = (0.0, 0.0, 0.0)) b =
     let n = b.len in
-    if epsilon < 0.0 then invalid_arg "Curve.Builder.build: epsilon < 0";
-    if max_frontier < 0 then
-      invalid_arg "Curve.Builder.build: max_frontier < 0";
     if n = 0 then Empty
     else begin
       ensure_scratch b;
-      let cap = if max_frontier = 0 then max_int else max_frontier in
       let req_grid, load_grid, area_grid = grids in
       let quantised =
         req_grid <> 0.0 || load_grid <> 0.0 || area_grid <> 0.0
@@ -441,44 +424,24 @@ module Builder = struct
       let st_len = ref 0 in
       let keep = b.keep in
       let nkeep = ref 0 in
-      let t = ref 0 in
-      while !t < n && !nkeep < cap do
-        let i =
-          if use_packed then b.keys.(!t) land imask else b.keys.(!t)
-        in
+      for t = 0 to n - 1 do
+        let i = if use_packed then b.keys.(t) land imask else b.keys.(t) in
         let l = Float.Array.get qload i and a = Float.Array.get qarea i in
-        (* Rightmost staircase entry with load <= l + epsilon (all kept
-           points have req >= this one's, so load/area decide dominance;
-           at epsilon 0 this is the exact dominance query). *)
-        let lb = l +. epsilon and ab = a +. epsilon in
+        (* Rightmost staircase entry with load <= l (all kept points have
+           req >= this one's, so load/area decide dominance). *)
         let p =
           let lo = ref 0 and hi = ref !st_len in
           while !lo < !hi do
             let mid = (!lo + !hi) / 2 in
-            if Float.Array.get st_load mid <= lb then lo := mid + 1
+            if Float.Array.get st_load mid <= l then lo := mid + 1
             else hi := mid
           done;
           !lo - 1
         in
-        let dominated = p >= 0 && Float.Array.get st_area p <= ab in
+        let dominated = p >= 0 && Float.Array.get st_area p <= a in
         if not dominated then begin
           keep.(!nkeep) <- i;
           incr nkeep;
-          (* Re-find the insertion point for the exact [l] (the query
-             above ran at [l + epsilon]); with epsilon 0 the staircase
-             position is [p] itself, so this second search is skipped. *)
-          let p =
-            if epsilon = 0.0 then p
-            else begin
-              let lo = ref 0 and hi = ref !st_len in
-              while !lo < !hi do
-                let mid = (!lo + !hi) / 2 in
-                if Float.Array.get st_load mid <= l then lo := mid + 1
-                else hi := mid
-              done;
-              !lo - 1
-            end
-          in
           (* Insert (l, a): entries with load >= l and area >= a are now
              redundant; areas decrease rightward so they form a run. *)
           let q =
@@ -499,8 +462,7 @@ module Builder = struct
           end;
           Float.Array.set st_load q l;
           Float.Array.set st_area q a
-        end;
-        incr t
+        end
       done;
       let out =
         Array.init !nkeep (fun t ->
@@ -559,7 +521,7 @@ let best_min_area c ~req =
     in
     scan 0 None
 
-let cap ?scratch ~max_size c =
+let cap ~scratch ~max_size c =
   if max_size < 2 then invalid_arg "Curve.cap: max_size < 2";
   match c with
   | Empty -> Empty
@@ -570,16 +532,11 @@ let cap ?scratch ~max_size c =
       (* Always keep the extreme point of each dimension (best required
          time, least load, least area), then spread the rest evenly along
          the required-time axis.  Everything goes straight into the
-         builder — a caller-threaded scratch one on the hot paths — in
-         the same order the old list-based construction pushed, so the
-         first-wins tie behaviour of [Builder.build] is unchanged. *)
-      let bld =
-        match scratch with
-        | Some b ->
-          Builder.clear b;
-          b
-        | None -> Builder.create ~hint:max_size ()
-      in
+         caller's scratch builder, in the same order the old list-based
+         construction pushed, so the first-wins tie behaviour of
+         [Builder.build] is unchanged. *)
+      let bld = scratch in
+      Builder.clear bld;
       let extreme proj =
         let best = ref 0 in
         Array.iteri
@@ -605,94 +562,3 @@ let cap ?scratch ~max_size c =
         | Empty -> Empty
         | F a -> F (Array.sub a 0 max_size)
     end
-
-(* Pairwise non-domination scan; only reachable when the sorted-order
-   invariant is somehow broken (see [is_frontier]). *)
-let is_frontier_quadratic arr =
-  let n = Array.length arr in
-  let ok = ref true in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      if
-        strictly_dominates arr.(i) arr.(j)
-        || strictly_dominates arr.(j) arr.(i)
-      then ok := false
-    done
-  done;
-  !ok
-
-let is_frontier c =
-  let arr = to_array c in
-  let n = Array.length arr in
-  let sorted = ref true in
-  for i = 0 to n - 2 do
-    if Solution.compare_key arr.(i) arr.(i + 1) > 0 then sorted := false
-  done;
-  if not !sorted then
-    (* Can only happen through an invariant bug elsewhere; keep the old
-       order-insensitive answer rather than trusting the sweep below. *)
-    is_frontier_quadratic arr
-  else begin
-    (* Sorted-order staircase pass (the dominance structure of
-       [Builder.build]): in compare_key order a point can only be
-       strictly dominated by an earlier one, so one (load, area) minima
-       staircase over the prefix answers every query — O(n log n)
-       instead of the pairwise O(n^2) scan.  Equal-key runs are queried
-       before any of them is inserted: exact duplicates never strictly
-       dominate each other. *)
-    let st_load = Float.Array.create n in
-    let st_area = Float.Array.create n in
-    let st_len = ref 0 in
-    let query l a =
-      let lo = ref 0 and hi = ref !st_len in
-      while !lo < !hi do
-        let mid = (!lo + !hi) / 2 in
-        if Float.Array.get st_load mid <= l then lo := mid + 1 else hi := mid
-      done;
-      let p = !lo - 1 in
-      p >= 0 && Float.Array.get st_area p <= a
-    in
-    let insert l a =
-      let lo = ref 0 and hi = ref !st_len in
-      while !lo < !hi do
-        let mid = (!lo + !hi) / 2 in
-        if Float.Array.get st_load mid <= l then lo := mid + 1 else hi := mid
-      done;
-      let p = !lo - 1 in
-      if not (p >= 0 && Float.Array.get st_area p <= a) then begin
-        let q = if p >= 0 && Float.Array.get st_load p = l then p else p + 1 in
-        let r = ref q in
-        while !r < !st_len && Float.Array.get st_area !r >= a do incr r done;
-        let removed = !r - q in
-        if removed = 0 then begin
-          Float.Array.blit st_load q st_load (q + 1) (!st_len - q);
-          Float.Array.blit st_area q st_area (q + 1) (!st_len - q);
-          incr st_len
-        end
-        else if removed > 1 then begin
-          Float.Array.blit st_load !r st_load (q + 1) (!st_len - !r);
-          Float.Array.blit st_area !r st_area (q + 1) (!st_len - !r);
-          st_len := !st_len - removed + 1
-        end;
-        Float.Array.set st_load q l;
-        Float.Array.set st_area q a
-      end
-    in
-    let ok = ref true in
-    let g = ref 0 in
-    while !ok && !g < n do
-      let h = ref (!g + 1) in
-      while !h < n && Solution.compare_key arr.(!g) arr.(!h) = 0 do
-        incr h
-      done;
-      for t = !g to !h - 1 do
-        if query arr.(t).Solution.load arr.(t).Solution.area then ok := false
-      done;
-      if !ok then
-        for t = !g to !h - 1 do
-          insert arr.(t).Solution.load arr.(t).Solution.area
-        done;
-      g := !h
-    done;
-    !ok
-  end

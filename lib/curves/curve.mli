@@ -78,9 +78,8 @@ module Builder : sig
       tested in [test/test_curve_kernel.ml]). *)
   val clear : 'a b -> unit
 
-  (** [build ?name ?grids ?epsilon ?max_frontier b] prunes the
-      accumulated bag to its non-inferior frontier: one sort + one
-      staircase sweep, O(P log P + P·F_insert) for P candidates and
+  (** [build ?name ?grids b] prunes the accumulated bag to its exact
+      non-inferior frontier: one sort + one staircase sweep, O(P log P + P·F_insert) for P candidates and
       frontier size F.  [grids = (req, load, area)] applies
       {!Solution.quantise} bucketing to every candidate during the
       sweep — required time down, load and area up, so every kept
@@ -90,22 +89,10 @@ module Builder : sig
       what makes the paper's dynamic programs pseudo-polynomial
       (Lemmas 1 and 10), and the sort runs on packed int keys instead of
       a float comparator (DESIGN.md §9).  [name] labels {!Contract}
-      violations.
-
-      [epsilon > 0] additionally drops candidates epsilon-dominated by a
-      kept point (within [epsilon] in both load and area at no-worse
-      req, measured on the quantised coordinates); [max_frontier > 0]
-      keeps only that prefix of the frontier (best req first).  Both
-      default off; [~epsilon:0.0] and an unreachably large
-      [max_frontier] are byte-identical to the exact build.  The result
-      is always mutually non-inferior — epsilon-domination subsumes
-      exact domination — so every {!Contract} invariant holds in every
-      mode. *)
+      violations. *)
   val build :
     ?name:string ->
     ?grids:float * float * float ->
-    ?epsilon:float ->
-    ?max_frontier:int ->
     'a b ->
     'a t
 end
@@ -132,13 +119,9 @@ val best_under_area : 'a t -> area:float -> 'a Solution.t option
     first element below the floor (the curve is req-descending). *)
 val best_min_area : 'a t -> req:float -> 'a Solution.t option
 
-(** [cap ?scratch ~max_size curve] reduces the curve to at most
+(** [cap ~scratch ~max_size curve] reduces the curve to at most
     [max_size] points by keeping an even spread along the required-time
-    axis (always keeping both extremes); [max_size >= 2].  Hot paths
-    pass [scratch] — a builder cleared and reused for the selection —
-    so capping allocates only the surviving points (DESIGN.md §5, §9). *)
-val cap : ?scratch:'a Builder.b -> max_size:int -> 'a t -> 'a t
-
-(** [is_frontier c] checks the internal invariant: no element dominates
-    another.  Exposed for tests. *)
-val is_frontier : 'a t -> bool
+    axis (always keeping both extremes); [max_size >= 2].  [scratch] is
+    a builder cleared and reused for the selection, so capping allocates
+    only the surviving points (DESIGN.md §5, §9). *)
+val cap : scratch:'a Builder.b -> max_size:int -> 'a t -> 'a t

@@ -31,8 +31,10 @@ let curve ~tech ?(max_curve = 12) ?(bbox_slack = 0.4) ~candidates ~order
     Array.map (fun id -> Star_ptree.Sink_term (Net.sink net id)) order
   in
   let per_candidate =
-    Star_ptree.run ~tech ~buffers:[||] ~trials:1 ~max_curve
-      ~grids:(0.0, 0.0, 0.0) ~bbox_slack ~candidates ~active ~terminals ()
+    Star_ptree.run_in
+      (Star_ptree.context ~tech ~buffers:[||] ~trials:1 ~max_curve
+         ~grids:(0.0, 0.0, 0.0) ~bbox_slack ~candidates ())
+      ~active ~terminals
   in
   let bld = Curve.Builder.create () in
   Array.iter

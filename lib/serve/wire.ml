@@ -264,9 +264,7 @@ let cfg_to_json (c : Merlin_core.Config.t) =
       ("full_hanan", Json.Bool c.full_hanan);
       ("chain_placement", Json.Str (chain_placement_to_string c.chain_placement));
       ("bubbling", Json.Bool c.bubbling);
-      ("max_iters", int c.max_iters);
-      ("curve_epsilon", num c.curve_epsilon);
-      ("max_frontier", int c.max_frontier) ]
+      ("max_iters", int c.max_iters) ]
 
 (* Missing knobs default from [Config.default] — clients override only
    what they care about; [Config.validate] rejects nonsense ranges. *)
@@ -284,8 +282,6 @@ let cfg_of_json j =
   let* full_hanan = fbool_opt ~default:d.full_hanan "full_hanan" j in
   let* bubbling = fbool_opt ~default:d.bubbling "bubbling" j in
   let* max_iters = match Json.member "max_iters" j with None -> Ok d.max_iters | Some _ -> fint "max_iters" j in
-  let* curve_epsilon = match Json.member "curve_epsilon" j with None -> Ok d.curve_epsilon | Some _ -> fnum "curve_epsilon" j in
-  let* max_frontier = match Json.member "max_frontier" j with None -> Ok d.max_frontier | Some _ -> fint "max_frontier" j in
   let* chain_placement =
     match Json.member "chain_placement" j with
     | None -> Ok d.chain_placement
@@ -301,7 +297,7 @@ let cfg_of_json j =
   let cfg =
     { alpha; max_curve; quant_req; quant_load; quant_area; candidate_limit;
       buffer_trials; bbox_slack; full_hanan; chain_placement; bubbling;
-      max_iters; curve_epsilon; max_frontier }
+      max_iters }
   in
   match validate cfg with
   | () -> Ok cfg

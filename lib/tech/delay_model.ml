@@ -12,4 +12,10 @@ let delay_slew t ~load ~slew_in =
   let slew_out = t.s0 +. (slew_fraction *. rc) in
   (d, slew_out)
 
-let delay t ~load = fst (delay_slew t ~load ~slew_in:nominal_slew)
+(* [delay_slew]'s delay at nominal slew, with the same float operations
+   in the same order (so bit-identical), computed directly so that the
+   DP hot paths box only the result instead of a pair and its two
+   floats. *)
+let delay t ~load =
+  let rc = Tech.ps_per_ohm_ff *. t.r_drive *. load in
+  t.d0 +. rc +. (t.k_slew *. nominal_slew)

@@ -103,8 +103,10 @@ let test_objective () =
 let star_run net terminals =
   let candidates = Bubble_construct.candidate_set tiny_cfg net in
   let active = Array.init (Array.length candidates) (fun i -> i) in
-  Star_ptree.run ~tech ~buffers ~trials:5 ~max_curve:8 ~grids:(0.0, 0.0, 0.0)
-    ~bbox_slack:0.4 ~candidates ~active ~terminals ()
+  Star_ptree.run_in
+    (Star_ptree.context ~tech ~buffers ~trials:5 ~max_curve:8
+       ~grids:(0.0, 0.0, 0.0) ~bbox_slack:0.4 ~candidates ())
+    ~active ~terminals
 
 let test_star_single_sink () =
   let net = mk_net 3 1 in
@@ -173,8 +175,8 @@ let rec member_equal a b =
     List.equal member_equal t.Catree.members u.Catree.members
   | Catree.Direct _, Catree.Chain _ | Catree.Chain _, Catree.Direct _ -> false
 
-(* Runs through one shared context must equal plain runs, each on a
-   fresh context: random call sequences over one net with overlapping
+(* Runs through one shared context must equal runs each on a fresh
+   context: random call sequences over one net with overlapping
    windows, sinks mixed with shared sub-groups, varying active sets and
    evictions between calls. *)
 let prop_star_context_memo (seed, script) =
@@ -183,10 +185,11 @@ let prop_star_context_memo (seed, script) =
   let net = mk_net n seed in
   let candidates = Bubble_construct.candidate_set tiny_cfg net in
   let k = Array.length candidates in
-  let run ~active terminals =
-    Star_ptree.run ~tech ~buffers ~trials:3 ~max_curve:6 ~grids:(0.0, 0.0, 0.0)
-      ~bbox_slack:0.4 ~candidates ~active ~terminals ()
+  let fresh () =
+    Star_ptree.context ~tech ~buffers ~trials:3 ~max_curve:6
+      ~grids:(0.0, 0.0, 0.0) ~bbox_slack:0.4 ~candidates ()
   in
+  let run ~active terminals = Star_ptree.run_in (fresh ()) ~active ~terminals in
   (* Active sets: a random anchor first (the source convention), then a
      random subset of the other candidates in index order.  Calls draw
      from a few per case, so cells recur and the memo is hit. *)
@@ -199,10 +202,7 @@ let prop_star_context_memo (seed, script) =
     in
     Array.of_list (first :: rest)
   in
-  let ctx =
-    Star_ptree.context ~tech ~buffers ~trials:3 ~max_curve:6
-      ~grids:(0.0, 0.0, 0.0) ~bbox_slack:0.4 ~candidates ()
-  in
+  let ctx = fresh () in
   let all = Array.init k (fun p -> p) in
   let new_sub () =
     let lo = Random.State.int rng (n - 1) in

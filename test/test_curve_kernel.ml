@@ -137,7 +137,7 @@ let equiv =
     qtest "cap = reference cap" arb_bag (fun bag ->
         let sols = bag_to_sols bag in
         same_obs
-          (obs (Curve.cap ~max_size:5 (of_list sols)))
+          (obs (Test_curves.cap ~max_size:5 (of_list sols)))
           (obs_ref
              (Curve_reference.cap ~max_size:5 (Curve_reference.of_list sols))));
     qtest "best_min_area early-exit = reference fold"
@@ -156,13 +156,12 @@ let equiv =
            && x.Solution.data = y.Solution.data
          | _ -> false) ]
 
-(* The arena/knob surface of the builder (DESIGN.md §9): cleared-and-
-   reused builders, the neutral settings of the epsilon / max_frontier
-   knobs, and the approximation guarantees of the non-neutral ones. *)
-let build_bag ?grids ?epsilon ?max_frontier bag =
+(* The arena surface of the builder (DESIGN.md §9): cleared-and-reused
+   builders and the flat cost record. *)
+let build_bag ?grids bag =
   let bld = Curve.Builder.create () in
   List.iter (Curve.Builder.add bld) (bag_to_sols bag);
-  Curve.Builder.build ?grids ?epsilon ?max_frontier bld
+  Curve.Builder.build ?grids bld
 
 let modes =
   [ qtest "cleared builder = fresh (across grids/exact cycles)"
@@ -192,46 +191,7 @@ let modes =
              c.Curve.Builder.carea <- a;
              Curve.Builder.push_cost bld c i)
           bag;
-        same_obs (obs (Curve.Builder.build bld)) (obs (build_bag bag)));
-    qtest "epsilon 0 and unbounded max_frontier = exact"
-      arb_bag
-      (fun bag ->
-         let g = (3.0, 2.0, 5.0) in
-         same_obs
-           (obs (build_bag ~epsilon:0.0 ~max_frontier:max_int bag))
-           (obs (build_bag bag))
-         && same_obs
-              (obs (build_bag ~grids:g ~epsilon:0.0 ~max_frontier:max_int bag))
-              (obs (build_bag ~grids:g bag)));
-    qtest "epsilon build: subset of exact, prunes only eps-dominated"
-      (QCheck.pair arb_bag (QCheck.float_range 0.5 3.0))
-      (fun (bag, eps) ->
-         let exact = Curve.to_list (build_bag bag) in
-         let pruned = Curve.to_list (build_bag ~epsilon:eps bag) in
-         let in_exact s =
-           List.exists
-             (fun k ->
-                k.Solution.req = s.Solution.req
-                && k.Solution.load = s.Solution.load
-                && k.Solution.area = s.Solution.area
-                && k.Solution.data = s.Solution.data)
-             exact
-         in
-         let eps_covered s =
-           List.exists
-             (fun k ->
-                k.Solution.req >= s.Solution.req
-                && k.Solution.load <= s.Solution.load +. eps
-                && k.Solution.area <= s.Solution.area +. eps)
-             pruned
-         in
-         List.for_all in_exact pruned && List.for_all eps_covered exact);
-    qtest "max_frontier keeps the best-req prefix of the exact frontier"
-      (QCheck.pair arb_bag (QCheck.int_range 2 8))
-      (fun (bag, cap) ->
-         let exact = obs (build_bag bag) in
-         let capped = obs (build_bag ~max_frontier:cap bag) in
-         same_obs capped (List.filteri (fun i _ -> i < cap) exact)) ]
+        same_obs (obs (Curve.Builder.build bld)) (obs (build_bag bag))) ]
 
 (* Regression for the batch cap: the four extreme points — best required
    time, least load, least area, and the last curve element — survive
@@ -248,7 +208,7 @@ let test_cap_preserves_extremes () =
     in
     let c = of_list bag in
     if Curve.size c > 6 then begin
-      let capped = Curve.cap ~max_size:6 c in
+      let capped = Test_curves.cap ~max_size:6 c in
       let full = Curve.to_list c and kept = Curve.to_list capped in
       let extreme proj =
         List.fold_left
@@ -307,7 +267,7 @@ let test_batch_contracts () =
          done;
          let c = Curve.Builder.build ~grids:(2.0, 3.0, 0.0) bld in
          Alcotest.(check bool) "contracted build is a frontier" true
-           (Curve.is_frontier c)
+           (Test_curves.non_inferior c)
        done)
 
 let suite =

@@ -45,6 +45,20 @@ let brute_frontier sols =
             sols))
     sols
 
+(* Test-local non-inferiority oracle: every pair compared directly, with
+   its own dominance test, so it shares no code with the staircase sweep
+   of Curve.Builder.build (or Contract's cross-check) it judges.  Equal
+   coordinates never dominate each other. *)
+let non_inferior c =
+  let arr = Array.of_list (Curve.to_list c) in
+  let beats x s =
+    x.Solution.req >= s.Solution.req && x.Solution.load <= s.Solution.load
+    && x.Solution.area <= s.Solution.area
+    && (x.Solution.req > s.Solution.req || x.Solution.load < s.Solution.load
+        || x.Solution.area < s.Solution.area)
+  in
+  Array.for_all (fun s -> not (Array.exists (fun x -> beats x s) arr)) arr
+
 (* The invariant pair checked by Contract: strict compare_key order and
    pairwise non-inferiority. *)
 let key_sorted c =
@@ -54,7 +68,9 @@ let key_sorted c =
   in
   ok (Curve.to_list c)
 
-let invariants c = Curve.is_frontier c && key_sorted c
+let invariants c = non_inferior c && key_sorted c
+
+let cap ~max_size c = Curve.cap ~scratch:(Curve.Builder.create ()) ~max_size c
 
 let test_dominates () =
   let a = sol 10.0 2.0 3.0 and b = sol 8.0 4.0 5.0 in
@@ -96,7 +112,7 @@ let test_cap_keeps_extremes () =
   let c = of_list (List.init 20 (fun i ->
       sol (float_of_int i) (float_of_int i) 0.0)) in
   Alcotest.(check int) "full frontier" 20 (Curve.size c);
-  let capped = Curve.cap ~max_size:5 c in
+  let capped = cap ~max_size:5 c in
   Alcotest.(check bool) "within cap" true (Curve.size capped <= 5);
   let reqs = List.map (fun s -> s.Solution.req) (Curve.to_list capped) in
   Alcotest.(check bool) "max req kept" true (List.mem 19.0 reqs);
@@ -107,7 +123,7 @@ let test_cap_keeps_min_area () =
      kept (the van Ginneken "unbuffered variant survives" guarantee). *)
   let c = of_list (List.init 30 (fun i ->
       sol (float_of_int i) (float_of_int i) (float_of_int i))) in
-  let capped = Curve.cap ~max_size:6 c in
+  let capped = cap ~max_size:6 c in
   let areas = List.map (fun s -> s.Solution.area) (Curve.to_list capped) in
   Alcotest.(check bool) "min area kept" true (List.mem 0.0 areas)
 
@@ -122,7 +138,7 @@ let test_quantise_pessimistic () =
 
 let props =
   [ qtest "of_list is a frontier" arb_sols (fun sols ->
-        Curve.is_frontier (of_list sols));
+        non_inferior (of_list sols));
     qtest "of_list matches brute force frontier size" arb_sols (fun sols ->
         Curve.size (of_list sols)
         = List.length (brute_frontier sols));
@@ -139,9 +155,9 @@ let props =
          let u = of_list (Curve.to_list (of_list a) @ Curve.to_list (of_list b)) in
          Curve.size u = Curve.size (of_list (a @ b)));
     qtest "cap never exceeds" arb_sols (fun sols ->
-        Curve.size (Curve.cap ~max_size:4 (of_list sols)) <= 4);
+        Curve.size (cap ~max_size:4 (of_list sols)) <= 4);
     qtest "build ~grids still a frontier" arb_sols (fun sols ->
-        Curve.is_frontier (of_list ~grids sols));
+        non_inferior (of_list ~grids sols));
     qtest "of_list satisfies curve invariants" arb_sols (fun sols ->
         invariants (of_list sols));
     qtest "merged curves satisfy curve invariants"
@@ -150,7 +166,7 @@ let props =
          invariants
            (of_list (Curve.to_list (of_list a) @ Curve.to_list (of_list b))));
     qtest "cap satisfies curve invariants" arb_sols (fun sols ->
-        invariants (Curve.cap ~max_size:4 (of_list sols)));
+        invariants (cap ~max_size:4 (of_list sols)));
     qtest "build ~grids satisfies curve invariants" arb_sols (fun sols ->
         invariants (of_list ~grids sols));
     qtest "build ~grids (load only) satisfies curve invariants" arb_sols
@@ -164,7 +180,7 @@ let props =
               let c =
                 of_list (Curve.to_list (of_list a) @ Curve.to_list (of_list b))
               in
-              let c = Curve.cap ~max_size:4 c in
+              let c = cap ~max_size:4 c in
               invariants (of_list ~grids (Curve.to_list c))));
     qtest "best_under_area matches brute force"
       (QCheck.pair arb_sols (QCheck.float_range 0.0 20.0))
@@ -193,21 +209,26 @@ let test_contract_rejects () =
          (Invalid_argument
             "Contract.check: unit: solutions out of compare_key order")
          (fun () ->
-            ignore (Contract.check ~name:"unit" [ sol 1.0 1.0 1.0; sol 5.0 0.0 0.0 ]));
+            ignore
+              (Contract.check_arr ~name:"unit"
+                 [| sol 1.0 1.0 1.0; sol 5.0 0.0 0.0 |]));
        Alcotest.check_raises "inferior solution rejected"
          (Invalid_argument
             "Contract.check: unit: curve holds an inferior solution")
          (fun () ->
-            ignore (Contract.check ~name:"unit" [ sol 5.0 0.0 0.0; sol 1.0 1.0 1.0 ]));
-       let ok = [ sol 5.0 0.0 1.0; sol 1.0 0.0 0.0 ] in
+            ignore
+              (Contract.check_arr ~name:"unit"
+                 [| sol 5.0 0.0 0.0; sol 1.0 1.0 1.0 |]));
+       let ok = [| sol 5.0 0.0 1.0; sol 1.0 0.0 0.0 |] in
        Alcotest.(check int) "valid curve accepted" 2
-         (List.length (Contract.check ~name:"unit" ok)))
+         (Array.length (Contract.check_arr ~name:"unit" ok)))
 
 let test_contract_disabled () =
   Contract.set_enabled false;
-  (* With contracts off, even a bogus list flows through untouched. *)
+  (* With contracts off, even a bogus array flows through untouched. *)
   Alcotest.(check int) "no check when disabled" 2
-    (List.length (Contract.check ~name:"unit" [ sol 1.0 1.0 1.0; sol 5.0 0.0 0.0 ]))
+    (Array.length
+       (Contract.check_arr ~name:"unit" [| sol 1.0 1.0 1.0; sol 5.0 0.0 0.0 |]))
 
 let suite =
   ( "curves",

@@ -41,7 +41,7 @@ let test_curve_contains_unbuffered () =
   let net = mk_net 4 9 in
   let tree = star net in
   let c = VG.curve ~tech ~buffers tree in
-  Alcotest.(check bool) "frontier" true (Curve.is_frontier c);
+  Alcotest.(check bool) "frontier" true (Test_curves.non_inferior c);
   let zero_area =
     Curve.to_list c |> List.exists (fun s -> s.Solution.area = 0.0)
   in

@@ -630,6 +630,60 @@ let test_request_key_separates () =
   Alcotest.(check string) "reloaded net, same key" (Wire.request_key s1 net)
     (Wire.request_key s1 reloaded)
 
+(* Encoders before the frontier knobs were removed wrote
+   "curve_epsilon":0 and "max_frontier":0 into every MERLIN cfg.  Such a
+   spec still decodes, to the spec without them: the decoder ignores
+   them like any other unknown field. *)
+let test_removed_cfg_fields_ignored () =
+  let rec with_old_fields = function
+    | Json.Obj fields ->
+      Json.Obj
+        (List.map
+           (fun (k, v) ->
+              match (k, v) with
+              | "cfg", Json.Obj cfg ->
+                ( k,
+                  Json.Obj
+                    (cfg
+                    @ [ ("curve_epsilon", Json.Num 0.0);
+                        ("max_frontier", Json.Num 0.0) ]) )
+              | _ -> (k, with_old_fields v))
+           fields)
+    | j -> j
+  in
+  List.iter
+    (fun algo ->
+       let spec = { Flows.tech; buffers; algo } in
+       let j = Wire.spec_to_json spec in
+       let old = with_old_fields j in
+       Alcotest.(check bool) "old fields present" false
+         (String.equal (Json.to_string j) (Json.to_string old));
+       match Wire.spec_of_json old with
+       | Error msg -> Alcotest.fail msg
+       | Ok spec' ->
+         Alcotest.(check string) "decodes to the spec without them"
+           (Json.to_string j)
+           (Json.to_string (Wire.spec_to_json spec')))
+    [ Flows.Merlin
+        { cfg = Some Merlin_core.Config.default;
+          objective = Merlin_core.Objective.Best_req };
+      Option.get (Flows.default_algo "hier") ]
+
+(* Keys of specs without an explicit MERLIN cfg do not depend on the
+   Config record, so they must never move: a store written by an older
+   daemon keeps answering them.  Captured before the frontier knobs
+   were removed. *)
+let test_request_keys_pinned () =
+  let net = Net_gen.random_net ~seed:7 ~name:"k" ~n:5 tech in
+  List.iter
+    (fun (name, key) ->
+       let algo = Option.get (Flows.default_algo name) in
+       Alcotest.(check string) name key
+         (Wire.request_key { Flows.tech; buffers; algo } net))
+    [ ("lttree-ptree", "bf347d76a898eb0766d9e8aae46b0047");
+      ("ptree-vg", "a7821a4c93d3d1ad4c2a9ecb51659387");
+      ("merlin", "570163c99d6aed2e851f94b4f1e9aba5") ]
+
 let suite =
   ( "serve",
     [ Alcotest.test_case "lru basic" `Quick test_lru_basic;
@@ -656,4 +710,8 @@ let suite =
       Alcotest.test_case "fingerprint save/load" `Quick
         test_fingerprint_survives_save_load;
       Alcotest.test_case "request keys separate" `Quick
-        test_request_key_separates ] )
+        test_request_key_separates;
+      Alcotest.test_case "removed cfg fields ignored" `Quick
+        test_removed_cfg_fields_ignored;
+      Alcotest.test_case "cfg-less request keys pinned" `Quick
+        test_request_keys_pinned ] )

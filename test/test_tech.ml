@@ -68,7 +68,20 @@ let props =
       (fun (i, (l1, l2)) ->
          let b = Buffer_lib.default.(i) in
          let lo = min l1 l2 and hi = max l1 l2 in
-         Buffer_lib.delay b ~load:lo <= Buffer_lib.delay b ~load:hi) ]
+         Buffer_lib.delay b ~load:lo <= Buffer_lib.delay b ~load:hi);
+    (* [delay] computes the nominal-slew delay directly; it must stay
+       bit-identical to the full evaluation it replaced. *)
+    qtest "delay = fst delay_slew at nominal slew, bitwise"
+      QCheck.(float_range 0.0 10000.0)
+      (fun load ->
+         Array.for_all
+           (fun b ->
+              let m = b.Buffer_lib.model in
+              Int64.equal
+                (Int64.bits_of_float (Delay_model.delay m ~load))
+                (Int64.bits_of_float
+                   (fst (Delay_model.delay_slew m ~load ~slew_in:40.0))))
+           Buffer_lib.default) ]
 
 let suite =
   ( "tech",
