@@ -444,14 +444,17 @@ let hier_table ~opts pool () =
    per join build (Gc.allocated_bytes delta around the join kernel entry
    point).  The rows measured 15.3K at n=10 and 13.8K at n=12 with the
    arena-reused, tuple-free kernel (EXPERIMENTS.md "Bytes moved"), and
-   read 16.8K and 15.8K now that the cell memo leaves only the wider
-   joins and every row starts from a collected heap.  The --smoke run
-   fails when the measured value exceeds this by more than 25%, so an
-   accidental return to per-build scratch or per-candidate boxing cannot
-   land silently.  Recalibrate (with the measured value from a quiet
-   machine, recorded in EXPERIMENTS.md) when the kernel deliberately
-   changes. *)
-let alloc_budget_bytes_per_join = 16000.0
+   read 16.8K and 15.8K once the cell memo left only the wider joins
+   and every row started from a collected heap.  Since the builder caps
+   each batch at max_curve before materialising, so only kept points get
+   a Solution.t, a payload and a tree, the n=10 row reads 8.07K
+   (EXPERIMENTS.md "Cap inside the build").  The --smoke run fails when
+   the measured value exceeds this by more than 25%, so an accidental
+   return to per-build scratch, per-candidate boxing or materialising
+   points the cap drops cannot land silently.  Recalibrate (with the
+   measured value from a quiet machine, recorded in EXPERIMENTS.md) when
+   the kernel deliberately changes. *)
+let alloc_budget_bytes_per_join = 8070.0
 
 (* Committed work budget for the same rows: *PTREE cells computed per
    merge, i.e. per *PTREE run.  Cells memoised by a construction's context

@@ -92,7 +92,7 @@ let construct ?candidates ~cfg ~tech ~buffers (net : Net.t) order =
   let context =
     Star_ptree.context ~tech ~buffers ~trials:cfg.Config.buffer_trials
       ~max_curve:cfg.Config.max_curve
-      ~grids:(cfg.Config.quant_req, cfg.Config.quant_load, cfg.Config.quant_area)
+      ~quant:(cfg.Config.quant_req, cfg.Config.quant_load, cfg.Config.quant_area)
       ~bbox_slack:cfg.Config.bbox_slack ~candidates ()
   in
   let star ~active terminals =
@@ -101,13 +101,11 @@ let construct ?candidates ~cfg ~tech ~buffers (net : Net.t) order =
   in
   (* Merge accumulators, shared by every window of the construction: one
      scratch builder per candidate, cleared on first use inside a window
-     (the stamp check), plus one cap-selection scratch.  A window touches
-     few candidates, so the pool stays small while merges allocate only
-     their surviving curves. *)
+     (the stamp check).  A window touches few candidates, so the pool
+     stays small while merges allocate only their capped curves. *)
   let merge_blds = Array.make k None in
   let merge_stamp = Array.make k 0 in
   let window_id = ref 0 in
-  let cap_bld = Curve.Builder.create () in
   (* Gamma table: (covered length, structure code, right window end) ->
      per-candidate curves.  Only non-empty entries are stored. *)
   let gamma : (int * int * int, Build.t Curve.t array) Hashtbl.t =
@@ -370,8 +368,8 @@ let construct ?candidates ~cfg ~tech ~buffers (net : Net.t) order =
             match merge_blds.(p) with
             | None -> Curve.empty
             | Some bld ->
-              Curve.cap ~scratch:cap_bld ~max_size:cfg.Config.max_curve
-                (Curve.Builder.build ~name:"Bubble_construct.merge" bld))
+              Curve.Builder.build ~name:"Bubble_construct.merge"
+                ~max_size:cfg.Config.max_curve bld)
     in
     gamma_put w.cov_len w.e_out w.r_out capped
   in

@@ -22,30 +22,55 @@ let graft_children at tree =
     children
   | Rtree.Leaf _ | Rtree.Node _ -> [ tree ]
 
-let extend_wire tech ~to_ (s : sol) =
+(* The data-only forms build each move's tree; the full moves below and
+   the batch DP loops, which take the coordinates from the cost-only
+   twins further down, both go through them. *)
+
+let extend_wire_data ~to_ (s : sol) =
   let data = s.Solution.data in
-  let from = Rtree.attach_point data.tree in
-  if Point.equal from to_ then
-    match data.tree with
-    | Rtree.Node _ -> s
-    | Rtree.Leaf _ ->
-      { s with Solution.data = { data with tree = Rtree.node to_ [ data.tree ] } }
+  match data.tree with
+  | Rtree.Node _ when Point.equal (Rtree.attach_point data.tree) to_ -> data
+  | Rtree.Leaf _ | Rtree.Node _ ->
+    { data with tree = Rtree.node to_ [ data.tree ] }
+
+let add_root_buffer_data b (s : sol) =
+  let data = s.Solution.data in
+  let at = Rtree.attach_point data.tree in
+  { data with tree = Rtree.node ~buffer:b at (graft_children at data.tree) }
+
+let join_data at (a : sol) (b : sol) =
+  if not (Point.equal (root a) at && Point.equal (root b) at) then
+    invalid_arg "Build.join: solutions not rooted at the join point";
+  { tree =
+      Rtree.node at
+        (graft_children at a.Solution.data.tree
+         @ graft_children at b.Solution.data.tree);
+    members = a.Solution.data.members @ b.Solution.data.members }
+
+let extend_wire tech ~to_ (s : sol) =
+  let data = extend_wire_data ~to_ s in
+  let from = Rtree.attach_point s.Solution.data.tree in
+  if Point.equal from to_ then { s with Solution.data = data }
   else begin
     let len = Point.manhattan from to_ in
     let req = s.Solution.req -. Tech.wire_elmore tech ~len ~load:s.Solution.load in
     let load = s.Solution.load +. Tech.wire_cap tech len in
-    Solution.make ~req ~load ~area:s.Solution.area
-      { data with tree = Rtree.node to_ [ data.tree ] }
+    Solution.make ~req ~load ~area:s.Solution.area data
   end
 
 let add_root_buffer b (s : sol) =
-  let data = s.Solution.data in
-  let at = Rtree.attach_point data.tree in
   let req = s.Solution.req -. Buffer_lib.delay b ~load:s.Solution.load in
-  let tree = Rtree.node ~buffer:b at (graft_children at data.tree) in
   Solution.make ~req ~load:b.Buffer_lib.input_cap
     ~area:(s.Solution.area +. b.Buffer_lib.area)
-    { data with tree }
+    (add_root_buffer_data b s)
+
+let join at (a : sol) (b : sol) =
+  let data = join_data at a b in
+  Solution.make
+    ~req:(min a.Solution.req b.Solution.req)
+    ~load:(a.Solution.load +. b.Solution.load)
+    ~area:(a.Solution.area +. b.Solution.area)
+    data
 
 (* Cost-only twins of the three moves, for the batch DP loops: they
    compute the exact (req, load, area) the move would produce — the same
@@ -56,7 +81,7 @@ let add_root_buffer b (s : sol) =
    tuple-returning version allocates the tuple plus three boxed floats
    per candidate in the hottest loops of the whole program.  The loops
    push the record with Curve.Builder.push_cost and materialise trees
-   only for frontier survivors. *)
+   with the data-only forms, only for the points a curve keeps. *)
 
 let extend_wire_cost_into (c : Curve.Builder.cost) tech ~to_ (s : sol) =
   let from = Rtree.attach_point s.Solution.data.tree in
@@ -83,16 +108,3 @@ let join_cost_into (c : Curve.Builder.cost) (a : _ Solution.t) (b : _ Solution.t
   c.Curve.Builder.creq <- (if ra <= rb then ra else rb);
   c.Curve.Builder.cload <- a.Solution.load +. b.Solution.load;
   c.Curve.Builder.carea <- a.Solution.area +. b.Solution.area
-
-let join at (a : sol) (b : sol) =
-  if not (Point.equal (root a) at && Point.equal (root b) at) then
-    invalid_arg "Build.join: solutions not rooted at the join point";
-  let children =
-    graft_children at a.Solution.data.tree @ graft_children at b.Solution.data.tree
-  in
-  Solution.make
-    ~req:(min a.Solution.req b.Solution.req)
-    ~load:(a.Solution.load +. b.Solution.load)
-    ~area:(a.Solution.area +. b.Solution.area)
-    { tree = Rtree.node at children;
-      members = a.Solution.data.members @ b.Solution.data.members }

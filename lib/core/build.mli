@@ -41,6 +41,17 @@ val add_root_buffer : Buffer_lib.buffer -> sol -> sol
     is elsewhere. *)
 val join : Point.t -> sol -> sol -> sol
 
+(** Data-only forms of the moves above: the routing tree and member list
+    the move produces, without its coordinates.  The batch DP loops pair
+    them with the cost-only twins below, building trees only for the
+    points a curve keeps; [join_data] raises like [join]. *)
+
+val extend_wire_data : to_:Point.t -> sol -> t
+
+val add_root_buffer_data : Buffer_lib.buffer -> sol -> t
+
+val join_data : Point.t -> sol -> sol -> t
+
 (** Cost-only twins of the moves above: the (required time, load, area)
     the move would produce, computed with the same float expressions (so
     bit-identical), without constructing the routing tree.  Results are
@@ -48,7 +59,8 @@ val join : Point.t -> sol -> sol -> sol
     all-float storage, so the hot loops move three floats per candidate
     without allocating a tuple or boxing (DESIGN.md §9).  The batch DP
     loops push the record with {!Curve.Builder.push_cost} and
-    materialise trees only for the frontier survivors. *)
+    materialise trees with the data-only forms, through
+    {!Curve.Builder.build_map}, only for the points a curve keeps. *)
 
 val extend_wire_cost_into : Curve.Builder.cost -> Tech.t -> to_:Point.t -> sol -> unit
 

@@ -18,8 +18,9 @@ type chain_placement =
 type t = {
   alpha : int;  (** max branching factor of the C-alpha tree (>= 2) *)
   max_curve : int;
-      (** safety cap on every solution curve (>= 2), Curve.cap; with the
-          quantisation grids below the natural frontier rarely reaches it *)
+      (** safety cap on every solution curve (>= 2), the [max_size] of
+          Curve.Builder.build; the natural frontier is often wider, and
+          points past the cap are dropped before any tree is built *)
   quant_req : float;
       (** required-time bucket, ps (0 disables); rounded down *)
   quant_load : float;

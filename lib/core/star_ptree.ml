@@ -18,17 +18,16 @@ type close_payload =
   | Buffered of Merlin_tech.Buffer_lib.buffer * Build.sol
 
 (* One scratch builder per payload type, shared by every DP of a
-   context (the builders own their sort/staircase scratch, see
-   Curve.Builder): joins, buffer closures, extend-to-root batches (pull
-   and sub-terminal bases never interleave) and cap selections.  A
-   cleared builder is observationally a fresh one, so sharing them
-   across runs changes no result.  [cost] is the flat cost record
-   threaded through every cost computation (see [run_in]). *)
+   context (the builders own their sort/staircase/selection scratch, see
+   Curve.Builder): joins, buffer closures and extend-to-root batches
+   (pull and sub-terminal bases never interleave).  A cleared builder is
+   observationally a fresh one, so sharing them across runs changes no
+   result.  [cost] is the flat cost record threaded through every cost
+   computation (see [run_in]). *)
 type scratch = {
   join_bld : (Build.t Solution.t * Build.t Solution.t) Curve.Builder.b;
   close_bld : close_payload Curve.Builder.b;
   extend_bld : Build.t Solution.t Curve.Builder.b;
-  cap_bld : Build.t Curve.Builder.b;
   cost : Curve.Builder.cost;
 }
 
@@ -36,7 +35,6 @@ let new_scratch () =
   { join_bld = Curve.Builder.create ();
     close_bld = Curve.Builder.create ();
     extend_bld = Curve.Builder.create ();
-    cap_bld = Curve.Builder.create ();
     cost = Curve.Builder.new_cost () }
 
 (* A computed cell: curves at the cell's own active roots plus a memo of
@@ -67,7 +65,7 @@ type context = {
   tech : Merlin_tech.Tech.t;
   subset : Merlin_tech.Buffer_lib.t;
   max_curve : int;
-  grids : float * float * float;
+  quant : float * float * float;
   bbox_slack : float;
   candidates : Point.t array;
   scratch : scratch;
@@ -84,9 +82,9 @@ type terminal =
   | Sink_term of Merlin_net.Sink.t
   | Sub_term of sub
 
-let context ~tech ~buffers ~trials ~max_curve ~grids ~bbox_slack ~candidates
+let context ~tech ~buffers ~trials ~max_curve ~quant ~bbox_slack ~candidates
     () =
-  { tech; subset = buffer_subset buffers ~trials; max_curve; grids;
+  { tech; subset = buffer_subset buffers ~trials; max_curve; quant;
     bbox_slack; candidates; scratch = new_scratch (); cells = Runs.create 16 }
 
 let sub curves = { id = Atomic.fetch_and_add next_sub 1; curves }
@@ -147,7 +145,7 @@ let add_bytes counter before =
        (int_of_float (Gc.allocated_bytes () -. before)))
 
 let run_in ctx ~active ~terminals =
-  let { tech; subset; max_curve; grids; bbox_slack; candidates; scratch;
+  let { tech; subset; max_curve; quant; bbox_slack; candidates; scratch;
         cells } = ctx in
   let m = Array.length terminals and k = Array.length candidates in
   if m = 0 then invalid_arg "Star_ptree.run_in: no terminals";
@@ -156,18 +154,19 @@ let run_in ctx ~active ~terminals =
     invalid_arg "Star_ptree.run_in: no active candidates";
   Atomic.incr n_runs;
   let term_ids = Array.map terminal_key terminals in
-  let req_grid, load_grid, area_grid = grids in
-  (* Steady-state cells allocate only their survivor arrays. *)
-  let { join_bld; close_bld; extend_bld; cap_bld; cost } = scratch in
-  let finish curve = Curve.cap ~scratch:cap_bld ~max_size:max_curve curve in
+  let req_grid, load_grid, area_grid = quant in
+  (* Steady-state cells allocate only their kept points.  Every batch is
+     one Curve.Builder.build_map: pruned, capped at [max_curve], and only
+     then materialised, so no tree is built for a point the cap drops. *)
+  let { join_bld; close_bld; extend_bld; cost } = scratch in
   (* One flat cost record threaded through every cost computation of the
      run: Build.*_cost_into writes the three coordinates as unboxed
      float stores, [push_quant] quantises them in place (the same
-     floor/ceil expressions as Solution.grid_down/grid_up, so
-     bit-identical) and Curve.Builder.push_cost moves them into the
-     builder columns.  No (req, load, area) tuple and no boxed floats
-     per candidate — spelled out manually because the non-flambda
-     compiler does not deforest tuples across function boundaries. *)
+     floor/ceil expressions as Solution.quantise, so bit-identical) and
+     Curve.Builder.push_cost moves them into the builder columns.  No
+     (req, load, area) tuple and no boxed floats per candidate — spelled
+     out manually because the non-flambda compiler does not deforest
+     tuples across function boundaries. *)
   let push_quant bld payload =
     if req_grid <> 0.0 then
       cost.Curve.Builder.creq <-
@@ -211,10 +210,10 @@ let run_in ctx ~active ~terminals =
                subset)
         curve;
       let out =
-        Curve.Builder.build ~name:"Star_ptree.close_buffers" bld
-        |> Curve.map_data (function
+        Curve.Builder.build_map ~name:"Star_ptree.close_buffers"
+          ~max_size:max_curve bld ~f:(function
           | Kept data -> data
-          | Buffered (b, sol) -> (Build.add_root_buffer b sol).Solution.data)
+          | Buffered (b, sol) -> Build.add_root_buffer_data b sol)
       in
       add_bytes bytes_close before;
       out
@@ -258,14 +257,6 @@ let run_in ctx ~active ~terminals =
   (* The run's cells, filled top-down on first use; [None] until then. *)
   let table = Array.make (m * m) None in
   let idx i j = (i * m) + j in
-  (* Materialise an extend-to-[root] batch: coordinates were already
-     pushed (quantised) from extend_wire_cost; only frontier survivors
-     grow a wire in their tree. *)
-  let materialise_extend root curve =
-    Curve.map_data
-      (fun sol -> (Build.extend_wire tech ~to_:root sol).Solution.data)
-      curve
-  in
   let pull computed p =
     Atomic.incr n_pulls;
     let before = Gc.allocated_bytes () in
@@ -279,9 +270,8 @@ let run_in ctx ~active ~terminals =
          push_quant bld sol))
       computed;
     let out =
-      finish
-        (materialise_extend root
-           (Curve.Builder.build ~name:"Star_ptree.pull" bld))
+      Curve.Builder.build_map ~name:"Star_ptree.pull" ~max_size:max_curve bld
+        ~f:(Build.extend_wire_data ~to_:root)
     in
     add_bytes bytes_pull before;
     out
@@ -344,8 +334,8 @@ let run_in ctx ~active ~terminals =
                  Build.extend_wire_cost_into cost tech ~to_:root sol;
                  push_quant bld sol))
               sub.curves;
-            materialise_extend root
-              (Curve.Builder.build ~name:"Star_ptree.raw" bld)
+            Curve.Builder.build_map ~name:"Star_ptree.raw" ~max_size:max_curve
+              bld ~f:(Build.extend_wire_data ~to_:root)
         in
         add_bytes bytes_base before;
         out
@@ -376,17 +366,19 @@ let run_in ctx ~active ~terminals =
               left
         done;
         let out =
-          Curve.Builder.build ~name:"Star_ptree.join" bld
-          |> Curve.map_data (fun (a, b) -> (Build.join root a b).Solution.data)
+          Curve.Builder.build_map ~name:"Star_ptree.join" ~max_size:max_curve
+            bld ~f:(fun (a, b) -> Build.join_data root a b)
         in
         Atomic.incr n_joins;
-        ignore (Atomic.fetch_and_add n_join_survivors (Curve.size out));
+        (* Survivors count the join's frontier before the cap. *)
+        ignore
+          (Atomic.fetch_and_add n_join_survivors (Curve.Builder.kept bld));
         add_bytes bytes_join before;
         out
     in
     Atomic.incr n_cells;
     Array.iter
-      (fun p -> computed.(p) <- finish (close_buffers (finish (raw p))))
+      (fun p -> computed.(p) <- close_buffers (raw p))
       cell_act;
     { computed; memo = Array.make k None }
   in

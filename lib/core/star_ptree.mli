@@ -33,18 +33,19 @@ open Merlin_curves
     share it between tasks. *)
 type context
 
-(** [context ~tech ~buffers ~trials ~max_curve ~grids ~bbox_slack
+(** [context ~tech ~buffers ~trials ~max_curve ~quant ~bbox_slack
     ~candidates ()] is an empty memo for runs with these knobs.
     [trials] bounds how many library buffers are tried at each root
-    (evenly spaced over the graded library); [grids] are the (req, load,
-    area) quantisation buckets of {!Curve.Builder.build}; [max_curve]
-    caps every curve the DP keeps ({!Curve.cap}). *)
+    (evenly spaced over the graded library); [quant] are the (req, load,
+    area) grids every candidate is quantised to as it is pushed
+    ({!Solution.quantise}); [max_curve] caps every curve the DP keeps
+    (the [max_size] of {!Curve.Builder.build_map}). *)
 val context :
   tech:Tech.t ->
   buffers:Buffer_lib.t ->
   trials:int ->
   max_curve:int ->
-  grids:float * float * float ->
+  quant:float * float * float ->
   bbox_slack:float ->
   candidates:Point.t array ->
   unit ->

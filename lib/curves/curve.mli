@@ -10,8 +10,8 @@
 
     Every multi-solution curve is built the same way: push a whole
     candidate bag into a {!Builder} and prune it once with
-    {!Builder.build} — one stable sort plus one staircase sweep
-    (DESIGN.md §"Curve kernel").  The DP hot paths keep one builder per
+    {!Builder.build} — one stable sort plus one staircase sweep, capped
+    at [max_size] points before any payload is built (DESIGN.md §9).  The DP hot paths keep one builder per
     DP context and clear it between batches. *)
 
 type 'a t
@@ -73,33 +73,38 @@ module Builder : sig
   (** Forget all pushed candidates, keeping all storage — including the
       sort/staircase scratch grown by previous {!build}s, so a cleared
       builder reused across a DP's cells reaches a fixed point where
-      steady-state builds allocate only the survivor array.  A cleared
+      steady-state builds allocate only the returned points.  A cleared
       builder is observationally identical to a fresh one (property
       tested in [test/test_curve_kernel.ml]). *)
   val clear : 'a b -> unit
 
-  (** [build ?name ?grids b] prunes the accumulated bag to its exact
-      non-inferior frontier: one sort + one staircase sweep, O(P log P + P·F_insert) for P candidates and
-      frontier size F.  [grids = (req, load, area)] applies
-      {!Solution.quantise} bucketing to every candidate during the
-      sweep — required time down, load and area up, so every kept
-      solution stays electrically valid; a grid of 0 leaves that
-      dimension untouched.  With all three grids set the frontier is
-      bounded by the number of distinct (load, area) buckets, which is
-      what makes the paper's dynamic programs pseudo-polynomial
-      (Lemmas 1 and 10), and the sort runs on packed int keys instead of
-      a float comparator (DESIGN.md §9).  [name] labels {!Contract}
+  (** [build_map ?name ?max_size ~f b] prunes the accumulated bag to
+      its exact non-inferior frontier — one sort + one staircase sweep,
+      O(P log P + P·F_insert) for P candidates and frontier size F —
+      and, when the frontier holds more than [max_size] points, keeps
+      [max_size] of them: the first point (best required time), the
+      first least-load and least-area points, the last point, and an
+      even spread of the rest along the required-time axis, truncated in
+      curve order when the four extremes alone overflow a cap below 4.
+      [f] materialises the payload of each returned point, exactly once
+      per point and never for a pruned or dropped candidate, so the
+      result equals capping [map_data f] of the full frontier while
+      building only what is kept (DESIGN.md §5, §9).  Raises
+      [Invalid_argument] if [max_size < 2].  [name] labels {!Contract}
       violations. *)
-  val build :
-    ?name:string ->
-    ?grids:float * float * float ->
-    'a b ->
-    'a t
+  val build_map :
+    ?name:string -> ?max_size:int -> f:('a -> 'b) -> 'a b -> 'b t
+
+  (** [build ?name ?max_size b] is [build_map ~f:Fun.id]. *)
+  val build : ?name:string -> ?max_size:int -> 'a b -> 'a t
+
+  (** Frontier width of the last {!build_map} on this builder, before
+      [max_size] dropped any point (0 after an empty build). *)
+  val kept : 'a b -> int
 end
 
 (** [map_data f c] maps only the carried payloads; coordinates — and
-    hence the frontier — are unchanged.  This is how hot paths
-    materialise deferred payloads after {!Builder.build}. *)
+    hence the frontier — are unchanged. *)
 val map_data : ('a -> 'b) -> 'a t -> 'b t
 
 val fold : ('acc -> 'a Solution.t -> 'acc) -> 'acc -> 'a t -> 'acc
@@ -118,10 +123,3 @@ val best_under_area : 'a t -> area:float -> 'a Solution.t option
     at least [req] (problem variant II).  The scan early-exits at the
     first element below the floor (the curve is req-descending). *)
 val best_min_area : 'a t -> req:float -> 'a Solution.t option
-
-(** [cap ~scratch ~max_size curve] reduces the curve to at most
-    [max_size] points by keeping an even spread along the required-time
-    axis (always keeping both extremes); [max_size >= 2].  [scratch] is
-    a builder cleared and reused for the selection, so capping allocates
-    only the surviving points (DESIGN.md §5, §9). *)
-val cap : scratch:'a Builder.b -> max_size:int -> 'a t -> 'a t

@@ -81,16 +81,3 @@ let cap ~max_size c =
     if List.length capped <= max_size then capped
     else List.filteri (fun i _ -> i < max_size) capped
   end
-
-let quantise_load ~grid c =
-  if grid <= 0.0 then invalid_arg "Curve_reference.quantise_load: grid <= 0";
-  let round_up s =
-    let q = ceil (s.Solution.load /. grid) *. grid in
-    { s with Solution.load = q }
-  in
-  map_solutions round_up c
-
-let quantise ~req_grid ~load_grid ~area_grid c =
-  if req_grid < 0.0 || load_grid < 0.0 || area_grid < 0.0 then
-    invalid_arg "Curve_reference.quantise: negative grid";
-  map_solutions (Solution.quantise ~req_grid ~load_grid ~area_grid) c

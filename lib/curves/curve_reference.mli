@@ -26,9 +26,5 @@ val map_solutions : ('a Solution.t -> 'b Solution.t) -> 'a t -> 'b t
     list. *)
 val best_min_area : 'a t -> req:float -> 'a Solution.t option
 
+(** Reference for {!Curve.Builder.build}'s [max_size] selection. *)
 val cap : max_size:int -> 'a t -> 'a t
-
-val quantise_load : grid:float -> 'a t -> 'a t
-
-val quantise :
-  req_grid:float -> load_grid:float -> area_grid:float -> 'a t -> 'a t

@@ -14,12 +14,12 @@ let compare_key s1 s2 =
 
 let map f s = { req = s.req; load = s.load; area = s.area; data = f s.data }
 
-(* Scalar bucketing helpers, shared with the batch curve kernel so a
-   coordinate quantised during a builder sweep is bit-identical to one
-   quantised through [quantise]. *)
-let[@inline] grid_down grid v = if grid = 0.0 then v else floor (v /. grid) *. grid
+(* Scalar bucketing: [grid_down] rounds down to a multiple of the grid
+   (required time), [grid_up] rounds up (load, area); a grid of 0 is the
+   identity. *)
+let grid_down grid v = if grid = 0.0 then v else floor (v /. grid) *. grid
 
-let[@inline] grid_up grid v = if grid = 0.0 then v else ceil (v /. grid) *. grid
+let grid_up grid v = if grid = 0.0 then v else ceil (v /. grid) *. grid
 
 let quantise ~req_grid ~load_grid ~area_grid s =
   { s with

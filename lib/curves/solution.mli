@@ -32,12 +32,4 @@ val map : ('a -> 'b) -> 'a t -> 'b t
 val quantise :
   req_grid:float -> load_grid:float -> area_grid:float -> 'a t -> 'a t
 
-(** Scalar bucketing used by {!quantise}: [grid_down] rounds down to a
-    multiple of the grid (required time), [grid_up] rounds up (load,
-    area); a grid of 0 is the identity.  Exposed so the batch curve
-    kernel quantises coordinates with bit-identical arithmetic. *)
-val grid_down : float -> float -> float
-
-val grid_up : float -> float -> float
-
 val pp : Format.formatter -> 'a t -> unit

@@ -22,13 +22,12 @@ let curve ~tech ~buffers ?trials ?(max_curve = 16) ?refine_seg tree =
     | None -> tree
     | Some max_seg -> Rtree.refine ~max_seg tree
   in
-  (* One builder and one cap scratch serve every batch of the walk:
-     wire extension, join, own buffer and close.  Each batch is built
-     before the next one starts, and the recursion into a child finishes
-     before its parent pushes, so clearing and reusing them is safe. *)
+  (* One builder serves every batch of the walk: wire extension, join,
+     own buffer and close.  Each batch is built before the next one
+     starts, and the recursion into a child finishes before its parent
+     pushes, so clearing and reusing it is safe.  Joins and closes are
+     capped at [max_curve] points. *)
   let bld = Curve.Builder.create () in
-  let scratch = Curve.Builder.create () in
-  let cap c = Curve.cap ~scratch ~max_size:max_curve c in
   let map_build name f c =
     Curve.Builder.clear bld;
     Curve.iter (fun sol -> Curve.Builder.add bld (f sol)) c;
@@ -46,11 +45,11 @@ let curve ~tech ~buffers ?trials ?(max_curve = 16) ?refine_seg tree =
            (fun b -> Curve.Builder.add bld (Build.add_root_buffer b sol))
            subset)
       c;
-    Curve.Builder.build ~name:"Van_ginneken.close" bld
+    Curve.Builder.build ~name:"Van_ginneken.close" ~max_size:max_curve bld
   in
   let rec walk = function
     | Rtree.Leaf s ->
-      cap (close (Curve.singleton (Build.of_sink s)))
+      close (Curve.singleton (Build.of_sink s))
     | Rtree.Node n ->
       let child_curve child =
         map_build "Van_ginneken.wire"
@@ -69,7 +68,9 @@ let curve ~tech ~buffers ?trials ?(max_curve = 16) ?refine_seg tree =
                  (fun b -> Curve.Builder.add bld (Build.join n.Rtree.loc a b))
                  c)
             acc;
-          Some (cap (Curve.Builder.build ~name:"Van_ginneken.join" bld))
+          Some
+            (Curve.Builder.build ~name:"Van_ginneken.join" ~max_size:max_curve
+               bld)
       in
       let joined =
         match List.fold_left join2 None n.Rtree.children with
@@ -83,7 +84,7 @@ let curve ~tech ~buffers ?trials ?(max_curve = 16) ?refine_seg tree =
         | Some b ->
           map_build "Van_ginneken.own_buffer" (Build.add_root_buffer b) joined
       in
-      cap (close with_own_buffer)
+      close with_own_buffer
   in
   walk tree
 

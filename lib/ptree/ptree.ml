@@ -33,7 +33,7 @@ let curve ~tech ?(max_curve = 12) ?(bbox_slack = 0.4) ~candidates ~order
   let per_candidate =
     Star_ptree.run_in
       (Star_ptree.context ~tech ~buffers:[||] ~trials:1 ~max_curve
-         ~grids:(0.0, 0.0, 0.0) ~bbox_slack ~candidates ())
+         ~quant:(0.0, 0.0, 0.0) ~bbox_slack ~candidates ())
       ~active ~terminals
   in
   let bld = Curve.Builder.create () in
