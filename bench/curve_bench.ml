@@ -63,7 +63,12 @@ let bag ~rand ~mult s =
   done;
   arr
 
-let checksum c = Curve.fold (fun acc s -> acc +. s.Solution.req) 0.0 c
+let checksum c =
+  let sum = ref 0.0 in
+  for i = 0 to Curve.size c - 1 do
+    sum := !sum +. (Curve.get c i).Solution.req
+  done;
+  !sum
 
 let time_it reps f =
   (* One warm-up call keeps first-use allocation effects out of the

@@ -77,11 +77,14 @@ let ji i = Json.Num (float_of_int i)
 (* Frontier-kernel telemetry: candidate counts per DP step (see
    Star_ptree).  Counts are representation-independent — one increment
    per candidate solution offered to the frontier — so before/after
-   kernel comparisons in BENCH_curve.json share the same scale. *)
+   kernel comparisons in BENCH_curve.json share the same scale.  Join
+   and closure candidates the exact pre-filters leave out are counted
+   apart from the pushes: pushes plus filtered is the whole product. *)
 let counter_fields () =
   let c a = ji (Atomic.get a) in
   let open Merlin_core.Star_ptree in
-  [ ("n_join_adds", c n_join_adds); ("n_close_adds", c n_close_adds);
+  [ ("n_join_adds", c n_join_adds); ("n_join_filtered", c n_join_filtered);
+    ("n_close_adds", c n_close_adds); ("n_close_filtered", c n_close_filtered);
     ("n_pull_adds", c n_pull_adds); ("n_base_adds", c n_base_adds);
     ("n_cells", c n_cells); ("n_pulls", c n_pulls);
     ("n_joins", c n_joins); ("n_join_survivors", c n_join_survivors);
@@ -448,13 +451,16 @@ let hier_table ~opts pool () =
    and every row started from a collected heap.  Since the builder caps
    each batch at max_curve before materialising, so only kept points get
    a Solution.t, a payload and a tree, the n=10 row reads 8.07K
-   (EXPERIMENTS.md "Cap inside the build").  The --smoke run fails when
+   (EXPERIMENTS.md "Cap inside the build"), and 4.47K once the exact
+   pre-filters stopped pushing join pairs and buffer trials the build
+   would drop (EXPERIMENTS.md "Exact candidate pre-filters").  The
+   --smoke run fails when
    the measured value exceeds this by more than 25%, so an accidental
    return to per-build scratch, per-candidate boxing or materialising
    points the cap drops cannot land silently.  Recalibrate (with the
    measured value from a quiet machine, recorded in EXPERIMENTS.md) when
    the kernel deliberately changes. *)
-let alloc_budget_bytes_per_join = 8070.0
+let alloc_budget_bytes_per_join = 4470.0
 
 (* Committed work budget for the same rows: *PTREE cells computed per
    merge, i.e. per *PTREE run.  Cells memoised by a construction's context
@@ -493,6 +499,9 @@ type kernel_snap = {
   k_cells : int;
   k_joins : int;
   k_join_adds : int;
+  k_join_filtered : int;
+  k_close_adds : int;
+  k_close_filtered : int;
   k_join_survivors : int;
   k_bytes_join : int;
   k_bytes_close : int;
@@ -507,6 +516,9 @@ let snap_kernel () =
     k_cells = g n_cells;
     k_joins = g n_joins;
     k_join_adds = g n_join_adds;
+    k_join_filtered = g n_join_filtered;
+    k_close_adds = g n_close_adds;
+    k_close_filtered = g n_close_filtered;
     k_join_survivors = g n_join_survivors;
     k_bytes_join = g bytes_join;
     k_bytes_close = g bytes_close;
@@ -518,6 +530,9 @@ let snap_delta a b =
     k_cells = b.k_cells - a.k_cells;
     k_joins = b.k_joins - a.k_joins;
     k_join_adds = b.k_join_adds - a.k_join_adds;
+    k_join_filtered = b.k_join_filtered - a.k_join_filtered;
+    k_close_adds = b.k_close_adds - a.k_close_adds;
+    k_close_filtered = b.k_close_filtered - a.k_close_filtered;
     k_join_survivors = b.k_join_survivors - a.k_join_survivors;
     k_bytes_join = b.k_bytes_join - a.k_bytes_join;
     k_bytes_close = b.k_bytes_close - a.k_bytes_close;
@@ -556,7 +571,8 @@ let curve_table ~opts () =
   in
   let header =
     [ "row"; "req (ps)"; "area"; "rt(s)";
-      "joins"; "adds/join"; "B/join"; "front/join"; "cells/merge" ]
+      "joins"; "adds/join"; "filt/join"; "B/join"; "front/join";
+      "cells/merge" ]
   in
   let (rows, lttree_bytes), wall_s =
     Clock.timed (fun () ->
@@ -576,6 +592,7 @@ let curve_table ~opts () =
          [ S label; F m.Flows.root_req; F m.Flows.area;
            F m.Flows.runtime; I d.k_joins;
            F (per d.k_joins d.k_join_adds);
+           F (per d.k_joins d.k_join_filtered);
            F (per d.k_joins d.k_bytes_join);
            F (per d.k_joins d.k_join_survivors);
            F (per d.k_runs d.k_cells) ])
@@ -592,6 +609,9 @@ let curve_table ~opts () =
            [ ("row", js label); ("sinks", ji n); ("req", jf m.Flows.root_req);
              ("area", jf m.Flows.area); ("runtime", jf m.Flows.runtime);
              ("joins", ji d.k_joins); ("join_adds", ji d.k_join_adds);
+             ("join_filtered", ji d.k_join_filtered);
+             ("close_adds", ji d.k_close_adds);
+             ("close_filtered", ji d.k_close_filtered);
              ("join_survivors", ji d.k_join_survivors);
              ("bytes_join", ji d.k_bytes_join);
              ("bytes_close", ji d.k_bytes_close);

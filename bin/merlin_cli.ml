@@ -127,7 +127,8 @@ let emit_metrics ~json ~with_tree m =
 let dump_stats pool =
   Format.eprintf "%a@." Pool.pp_stats (Pool.stats pool)
 
-(* Curve-kernel telemetry (process-lifetime totals): frontier adds and
+(* Curve-kernel telemetry (process-lifetime totals): frontier adds, the
+   candidates the exact pre-filters drop before pushing, and
    Gc.allocated_bytes deltas per *PTREE entry point, see Star_ptree.
    Cells memoised within a construction count once. *)
 let dump_curve_stats () =
@@ -137,11 +138,14 @@ let dump_curve_stats () =
   let per v = if joins = 0 then 0.0 else float_of_int v /. float_of_int joins in
   Format.eprintf
     "curve kernel: merges=%d cells/merge=%.2f joins=%d adds/join=%.1f \
-     front/join=%.1f B/join=%.0f bytes=[join %d; close %d; pull %d; base %d]@."
+     filtered/join=%.1f close=[adds %d; filtered %d] front/join=%.1f \
+     B/join=%.0f bytes=[join %d; close %d; pull %d; base %d]@."
     runs
     (if runs = 0 then 0.0 else float_of_int (g n_cells) /. float_of_int runs)
     joins
     (per (g n_join_adds))
+    (per (g n_join_filtered))
+    (g n_close_adds) (g n_close_filtered)
     (per (g n_join_survivors))
     (per (g bytes_join))
     (g bytes_join) (g bytes_close) (g bytes_pull) (g bytes_base)

@@ -17,25 +17,53 @@ type close_payload =
   | Kept of Build.t
   | Buffered of Merlin_tech.Buffer_lib.buffer * Build.sol
 
+(* One join operand's coordinates, read once per split, and dom (see
+   [load_columns]); grow-only. *)
+type columns = {
+  mutable req : floatarray;
+  mutable load : floatarray;
+  mutable area : floatarray;
+  mutable dom : int array;
+}
+
+let new_columns () =
+  { req = Float.Array.create 0; load = Float.Array.create 0;
+    area = Float.Array.create 0; dom = [||] }
+
 (* One scratch builder per payload type, shared by every DP of a
    context (the builders own their sort/staircase/selection scratch, see
    Curve.Builder): joins, buffer closures and extend-to-root batches
    (pull and sub-terminal bases never interleave).  A cleared builder is
    observationally a fresh one, so sharing them across runs changes no
    result.  [cost] is the flat cost record threaded through every cost
-   computation (see [run_in]). *)
+   computation (see [run_in]), and the rest is the pre-filters'
+   grow-only scratch (see [join_product] and [close_product]). *)
 type scratch = {
   join_bld : (Build.t Solution.t * Build.t Solution.t) Curve.Builder.b;
   close_bld : close_payload Curve.Builder.b;
   extend_bld : Build.t Solution.t Curve.Builder.b;
   cost : Curve.Builder.cost;
+  left_cols : columns;
+  right_cols : columns;
+  mutable open_ix : int array;
+  mutable trial_req : floatarray;
+  mutable trial_load : floatarray;
+  mutable trial_area : floatarray;
+  mutable trial_beaten : bool array;
 }
 
 let new_scratch () =
   { join_bld = Curve.Builder.create ();
     close_bld = Curve.Builder.create ();
     extend_bld = Curve.Builder.create ();
-    cost = Curve.Builder.new_cost () }
+    cost = Curve.Builder.new_cost ();
+    left_cols = new_columns ();
+    right_cols = new_columns ();
+    open_ix = [||];
+    trial_req = Float.Array.create 0;
+    trial_load = Float.Array.create 0;
+    trial_area = Float.Array.create 0;
+    trial_beaten = [||] }
 
 (* A computed cell: curves at the cell's own active roots plus a memo of
    lazy relocations to other roots — the paper's d(p,p') move applied on
@@ -118,6 +146,12 @@ let n_cells = Atomic.make 0
 let n_pulls = Atomic.make 0
 let n_dropped = Atomic.make 0
 
+(* Candidates the exact pre-filters drop before they are pushed: join
+   pairs and buffer trials.  The [_adds] counters count pushes, so
+   pushes plus filtered candidates is the whole product. *)
+let n_join_filtered = Atomic.make 0
+let n_close_filtered = Atomic.make 0
+
 (* Bytes-moved telemetry: [Gc.allocated_bytes] deltas around each kernel
    entry point (join, buffer closure, pull, base), plus join-build and
    survivor counts so bytes-per-join and mean frontier width fall out of
@@ -144,6 +178,218 @@ let add_bytes counter before =
     (Atomic.fetch_and_add counter
        (int_of_float (Gc.allocated_bytes () -. before)))
 
+(* Quantise a cost record in place to the push grids: the same
+   floor/ceil expressions as Solution.quantise, so bit-identical. *)
+let quantise_cost (req_grid, load_grid, area_grid) (c : Curve.Builder.cost) =
+  if req_grid <> 0.0 then
+    c.Curve.Builder.creq <- floor (c.Curve.Builder.creq /. req_grid) *. req_grid;
+  if load_grid <> 0.0 then
+    c.Curve.Builder.cload <-
+      ceil (c.Curve.Builder.cload /. load_grid) *. load_grid;
+  if area_grid <> 0.0 then
+    c.Curve.Builder.carea <-
+      ceil (c.Curve.Builder.carea /. area_grid) *. area_grid
+
+let grow_ints a n = if Array.length a >= n then a else Array.make (2 * n) 0
+
+(* The exact pre-filters (DESIGN.md §9 "Exact candidate pre-filters").
+   A candidate may be left out of a batch when the full batch holds
+   another candidate that the builder sorts before it and whose
+   quantised cost weakly dominates it: the staircase sweep would drop
+   it, and dropping it early moves no other point in or out of the
+   frontier, so the built curve is the same down to payloads and order.
+
+   [load_columns cols c] reads [c]'s coordinates into [cols] and sets
+   [cols.dom.(i)] to the position of the highest-required-time point of
+   [c] whose (load, area) is at most point i's in both, or -1.  Such a
+   point sits after i: a curve is an antichain in req-descending order,
+   so an earlier one would dominate i outright, and for the same reason
+   it beats i strictly in load or area. *)
+let load_columns cols c =
+  let n = Curve.size c in
+  if Float.Array.length cols.req < n then begin
+    cols.req <- Float.Array.create (2 * n);
+    cols.load <- Float.Array.create (2 * n);
+    cols.area <- Float.Array.create (2 * n)
+  end;
+  cols.dom <- grow_ints cols.dom n;
+  let { req; load; area; dom } = cols in
+  for i = 0 to n - 1 do
+    let s = Curve.get c i in
+    Float.Array.set req i s.Solution.req;
+    Float.Array.set load i s.Solution.load;
+    Float.Array.set area i s.Solution.area
+  done;
+  for i = 0 to n - 1 do
+    let d = ref (-1) and j = ref (i + 1) in
+    while !d < 0 && !j < n do
+      if Float.Array.get load !j <= Float.Array.get load i
+         && Float.Array.get area !j <= Float.Array.get area i
+      then d := !j;
+      incr j
+    done;
+    dom.(i) <- !d
+  done
+
+(* Whether joining x = [xs.(i)] with y = [ys.(j)] and joining x' =
+   [xs.(i')] with y cost differently once quantised, given that both
+   joins have the same req.  Their loads are x.load + y.load against
+   x'.load + y.load, and likewise for area: the float expressions of
+   Build.join_cost_into (float addition is commutative, so the operand
+   order does not matter), rounded up as in [quantise_cost]. *)
+let rival_differs (_, load_grid, area_grid) xs i i' ys j =
+  let load = Float.Array.get xs.load i +. Float.Array.get ys.load j
+  and load' = Float.Array.get xs.load i' +. Float.Array.get ys.load j
+  and area = Float.Array.get xs.area i +. Float.Array.get ys.area j
+  and area' = Float.Array.get xs.area i' +. Float.Array.get ys.area j in
+  (if load_grid <> 0.0 then
+     not
+       (Float.equal
+          (ceil (load /. load_grid) *. load_grid)
+          (ceil (load' /. load_grid) *. load_grid))
+   else not (Float.equal load load'))
+  ||
+  if area_grid <> 0.0 then
+    not
+      (Float.equal
+         (ceil (area /. area_grid) *. area_grid)
+         (ceil (area' /. area_grid) *. area_grid))
+  else not (Float.equal area area')
+
+(* The join product of one split: push (a, b) for every a of [left] and
+   b of [right], except the pairs another pair of the same product
+   provably beats.  Let a.req <= b.req, so the pair's req is a's, and d
+   = dom(b) with d.req >= a.req: (a, d) has the same req and no more
+   load or area, and quantising is monotone, so it weakly dominates
+   (a, b).  If the quantised costs differ, the sweep puts (a, d) first
+   and drops (a, b).  If they tie, it keeps the earlier push, which is
+   (a, b) (d sits after b in its curve), so (a, b) is pushed.  The case
+   b.req < a.req is the same with d = dom(a).  A dropped pair costs
+   only its comparison; the pushed ones go through Build.join_cost_into
+   like every other candidate. *)
+let join_product scratch ~quant bld left right =
+  let nl = Curve.size left and nr = Curve.size right in
+  let lc = scratch.left_cols and rc = scratch.right_cols in
+  load_columns lc left;
+  load_columns rc right;
+  let cost = scratch.cost in
+  let pushed = ref 0 in
+  for ia = 0 to nl - 1 do
+    let a = Curve.get left ia in
+    let ra = Float.Array.get lc.req ia in
+    for ib = 0 to nr - 1 do
+      let rb = Float.Array.get rc.req ib in
+      let beaten =
+        if ra <= rb then begin
+          let k = rc.dom.(ib) in
+          k >= 0
+          && Float.Array.get rc.req k >= ra
+          && rival_differs quant rc ib k lc ia
+        end
+        else begin
+          let k = lc.dom.(ia) in
+          k >= 0
+          && Float.Array.get lc.req k >= rb
+          && rival_differs quant lc ia k rc ib
+        end
+      in
+      if not beaten then begin
+        incr pushed;
+        let b = Curve.get right ib in
+        Build.join_cost_into cost a b;
+        quantise_cost quant cost;
+        Curve.Builder.push_cost bld cost (a, b)
+      end
+    done
+  done;
+  ignore (Atomic.fetch_and_add n_join_adds !pushed);
+  ignore (Atomic.fetch_and_add n_join_filtered ((nl * nr) - !pushed))
+
+(* The buffer closure of [curve]: push every solution as it is, then
+   every (solution, buffer) trial on an unbuffered root, in that order
+   — so equal-cost ties resolve exactly as they did when the candidates
+   were added one by one into the existing curve — except the trials
+   another trial of the same buffer provably beats.  Re-buffering an
+   existing buffer (a same-point repeater) is dominated by picking the
+   right single size from the graded library, so it is never tried.
+   All trials of one buffer have its input capacitance as their load,
+   so trial i loses to trial k when k's quantised req is at least and
+   its area at most i's, and k differs or was pushed first (k < i).
+   Each trial is costed once, into the scratch columns (open root oi,
+   buffer bi at oi * nb + bi), and pushed from there through [cost]:
+   dune's dev profile compiles with -opaque, so Curve.Builder.push is a
+   real call here and would box its float arguments. *)
+let close_product scratch ~quant ~subset bld curve =
+  let n = Curve.size curve and nb = Array.length subset in
+  for i = 0 to n - 1 do
+    let sol = Curve.get curve i in
+    Curve.Builder.push bld ~req:sol.Solution.req ~load:sol.Solution.load
+      ~area:sol.Solution.area (Kept sol.Solution.data)
+  done;
+  scratch.open_ix <- grow_ints scratch.open_ix n;
+  let open_ix = scratch.open_ix and n_open = ref 0 in
+  for i = 0 to n - 1 do
+    match (Curve.get curve i).Solution.data.Build.tree with
+    | Merlin_rtree.Rtree.Node { buffer = Some _; _ } -> ()
+    | Merlin_rtree.Rtree.Leaf _
+    | Merlin_rtree.Rtree.Node { buffer = None; _ } ->
+      open_ix.(!n_open) <- i;
+      incr n_open
+  done;
+  let n_open = !n_open in
+  let nt = n_open * nb in
+  if Float.Array.length scratch.trial_req < nt then begin
+    scratch.trial_req <- Float.Array.create (2 * nt);
+    scratch.trial_load <- Float.Array.create (2 * nt);
+    scratch.trial_area <- Float.Array.create (2 * nt);
+    scratch.trial_beaten <- Array.make (2 * nt) false
+  end;
+  let treq = scratch.trial_req and tload = scratch.trial_load
+  and tarea = scratch.trial_area and beaten = scratch.trial_beaten in
+  let cost = scratch.cost in
+  for oi = 0 to n_open - 1 do
+    let sol = Curve.get curve open_ix.(oi) in
+    for bi = 0 to nb - 1 do
+      Build.add_root_buffer_cost_into cost subset.(bi) sol;
+      quantise_cost quant cost;
+      let t = (oi * nb) + bi in
+      Float.Array.set treq t cost.Curve.Builder.creq;
+      Float.Array.set tload t cost.Curve.Builder.cload;
+      Float.Array.set tarea t cost.Curve.Builder.carea
+    done
+  done;
+  for bi = 0 to nb - 1 do
+    for oi = 0 to n_open - 1 do
+      let t = (oi * nb) + bi in
+      let r = Float.Array.get treq t and a = Float.Array.get tarea t in
+      let lost = ref false and ok = ref 0 in
+      while (not !lost) && !ok < n_open do
+        let tk = (!ok * nb) + bi in
+        let rk = Float.Array.get treq tk and ak = Float.Array.get tarea tk in
+        if rk >= r && ak <= a && (rk > r || ak < a || !ok < oi) then
+          lost := true;
+        incr ok
+      done;
+      beaten.(t) <- !lost
+    done
+  done;
+  let pushed = ref 0 in
+  for oi = 0 to n_open - 1 do
+    let sol = Curve.get curve open_ix.(oi) in
+    for bi = 0 to nb - 1 do
+      let t = (oi * nb) + bi in
+      if not beaten.(t) then begin
+        incr pushed;
+        cost.Curve.Builder.creq <- Float.Array.get treq t;
+        cost.Curve.Builder.cload <- Float.Array.get tload t;
+        cost.Curve.Builder.carea <- Float.Array.get tarea t;
+        Curve.Builder.push_cost bld cost (Buffered (subset.(bi), sol))
+      end
+    done
+  done;
+  ignore (Atomic.fetch_and_add n_close_adds !pushed);
+  ignore (Atomic.fetch_and_add n_close_filtered (nt - !pushed))
+
 let run_in ctx ~active ~terminals =
   let { tech; subset; max_curve; quant; bbox_slack; candidates; scratch;
         cells } = ctx in
@@ -158,60 +404,29 @@ let run_in ctx ~active ~terminals =
   (* Steady-state cells allocate only their kept points.  Every batch is
      one Curve.Builder.build_map: pruned, capped at [max_curve], and only
      then materialised, so no tree is built for a point the cap drops. *)
-  let { join_bld; close_bld; extend_bld; cost } = scratch in
+  let { join_bld; close_bld; extend_bld; cost; _ } = scratch in
   (* One flat cost record threaded through every cost computation of the
      run: Build.*_cost_into writes the three coordinates as unboxed
-     float stores, [push_quant] quantises them in place (the same
-     floor/ceil expressions as Solution.quantise, so bit-identical) and
+     float stores, [quantise_cost] rounds them in place and
      Curve.Builder.push_cost moves them into the builder columns.  No
      (req, load, area) tuple and no boxed floats per candidate — spelled
      out manually because the non-flambda compiler does not deforest
      tuples across function boundaries. *)
   let push_quant bld payload =
-    if req_grid <> 0.0 then
-      cost.Curve.Builder.creq <-
-        floor (cost.Curve.Builder.creq /. req_grid) *. req_grid;
-    if load_grid <> 0.0 then
-      cost.Curve.Builder.cload <-
-        ceil (cost.Curve.Builder.cload /. load_grid) *. load_grid;
-    if area_grid <> 0.0 then
-      cost.Curve.Builder.carea <-
-        ceil (cost.Curve.Builder.carea /. area_grid) *. area_grid;
+    quantise_cost quant cost;
     Curve.Builder.push_cost bld cost payload
   in
-  (* Try each buffer on every unbuffered root; re-buffering an existing
-     buffer (a same-point repeater) is dominated by picking the right
-     single size from the graded library, so it is skipped.  Two push
-     passes — existing solutions first, then buffered candidates — so
-     equal-cost ties resolve exactly as they did when the candidates were
-     added one by one into the existing curve. *)
+  (* With no buffer to try the closure would rebuild the curve it was
+     given, which is already a capped frontier: hand it back as is. *)
   let close_buffers curve =
-    if Curve.is_empty curve then curve
+    if Curve.is_empty curve || Array.length subset = 0 then curve
     else begin
       let before = Gc.allocated_bytes () in
-      let bld = close_bld in
-      Curve.Builder.clear bld;
-      Curve.iter
-        (fun sol ->
-           Curve.Builder.push bld ~req:sol.Solution.req ~load:sol.Solution.load
-             ~area:sol.Solution.area (Kept sol.Solution.data))
-        curve;
-      Curve.iter
-        (fun sol ->
-           match sol.Solution.data.Build.tree with
-           | Merlin_rtree.Rtree.Node { buffer = Some _; _ } -> ()
-           | Merlin_rtree.Rtree.Leaf _
-           | Merlin_rtree.Rtree.Node { buffer = None; _ } ->
-             Array.iter
-               (fun b ->
-                  Atomic.incr n_close_adds;
-                  Build.add_root_buffer_cost_into cost b sol;
-                  push_quant bld (Buffered (b, sol)))
-               subset)
-        curve;
+      Curve.Builder.clear close_bld;
+      close_product scratch ~quant ~subset close_bld curve;
       let out =
         Curve.Builder.build_map ~name:"Star_ptree.close_buffers"
-          ~max_size:max_curve bld ~f:(function
+          ~max_size:max_curve close_bld ~f:(function
           | Kept data -> data
           | Buffered (b, sol) -> Build.add_root_buffer_data b sol)
       in
@@ -348,22 +563,12 @@ let run_in ctx ~active ~terminals =
           ignore (cell_at (u + 1) j p)
         done;
         let before = Gc.allocated_bytes () in
-        (* The join product: push every (a, b) cost pair, prune once, and
-           only build the joined trees that survive. *)
+        (* The join products of every split into one batch: prune once,
+           and only build the joined trees that survive. *)
         let bld = join_bld in
         Curve.Builder.clear bld;
         for u = i to j - 1 do
-          let left = cell_at i u p and right = cell_at (u + 1) j p in
-          if not (Curve.is_empty left || Curve.is_empty right) then
-            Curve.iter
-              (fun a ->
-                 Curve.iter
-                   (fun b ->
-                      Atomic.incr n_join_adds;
-                      Build.join_cost_into cost a b;
-                      push_quant bld (a, b))
-                   right)
-              left
+          join_product scratch ~quant bld (cell_at i u p) (cell_at (u + 1) j p)
         done;
         let out =
           Curve.Builder.build_map ~name:"Star_ptree.join" ~max_size:max_curve

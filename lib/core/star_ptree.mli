@@ -87,6 +87,37 @@ val run_in :
   context -> active:int array -> terminals:terminal array -> Build.t Curve.t array
 
 (**/**)
+(* One batch's product loops, exposed so the filtered = unfiltered
+   oracle in test/test_core.ml can drive them without a whole run.
+   [join_product s ~quant bld left right] pushes one split's join pairs
+   into [bld], and [close_product s ~quant ~subset bld curve] the
+   buffer closure of [curve]: both leave out only candidates the build
+   provably drops (DESIGN.md §9 "Exact candidate pre-filters"), and
+   neither clears [bld]. *)
+type close_payload =
+  | Kept of Build.t
+  | Buffered of Buffer_lib.buffer * Build.sol
+
+type scratch
+
+val new_scratch : unit -> scratch
+
+val join_product :
+  scratch ->
+  quant:float * float * float ->
+  ('a Solution.t * 'a Solution.t) Curve.Builder.b ->
+  'a Curve.t ->
+  'a Curve.t ->
+  unit
+
+val close_product :
+  scratch ->
+  quant:float * float * float ->
+  subset:Buffer_lib.t ->
+  close_payload Curve.Builder.b ->
+  Build.t Curve.t ->
+  unit
+
 (* Operation counters: they count computed work only, so a memoised
    cell adds nothing.  [n_runs] counts {!run_in} calls;
    every computed cell is held by its context until {!drop}, which adds
@@ -99,6 +130,12 @@ val n_base_adds : int Atomic.t
 val n_cells : int Atomic.t
 val n_pulls : int Atomic.t
 val n_dropped : int Atomic.t
+
+(* Candidates the exact pre-filters leave out: [n_join_adds] and
+   [n_close_adds] count pushes after them, so pushes plus filtered is
+   the whole product. *)
+val n_join_filtered : int Atomic.t
+val n_close_filtered : int Atomic.t
 
 (* Bytes-moved telemetry: Gc.allocated_bytes deltas accumulated around
    each kernel entry point, plus join-build/survivor counts, consumed by

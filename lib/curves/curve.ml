@@ -34,6 +34,11 @@ let singleton s = F [| s |]
 
 let to_array = function Empty -> [||] | F arr -> arr
 
+let get c i =
+  match c with
+  | Empty -> invalid_arg "Curve.get: empty curve"
+  | F arr -> arr.(i)
+
 let to_list c = Array.to_list (to_array c)
 
 module Builder = struct
@@ -72,8 +77,6 @@ module Builder = struct
       st_area = Float.Array.create 0;
       pick = [||];
       kept = 0 }
-
-  let length b = b.len
 
   let kept b = b.kept
 
@@ -354,8 +357,6 @@ end
 
 let map_data f c =
   match c with Empty -> Empty | F arr -> F (Array.map (Solution.map f) arr)
-
-let fold f acc c = Array.fold_left f acc (to_array c)
 
 let iter f c = Array.iter f (to_array c)
 

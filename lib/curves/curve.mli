@@ -25,6 +25,11 @@ val size : 'a t -> int
 (** [singleton s] is the one-solution curve holding [s]. *)
 val singleton : 'a Solution.t -> 'a t
 
+(** [get c i] is the solution at position [i] of [c], in
+    {!Solution.compare_key} order.  Raises [Invalid_argument] unless
+    [0 <= i < size c]. *)
+val get : 'a t -> int -> 'a Solution.t
+
 (** Solutions in {!Solution.compare_key} order. *)
 val to_list : 'a t -> 'a Solution.t list
 
@@ -67,9 +72,6 @@ module Builder : sig
   (** [add_curve b c] pushes every solution of [c]. *)
   val add_curve : 'a b -> 'a t -> unit
 
-  (** Candidates pushed so far (pre-pruning). *)
-  val length : 'a b -> int
-
   (** Forget all pushed candidates, keeping all storage — including the
       sort/staircase scratch grown by previous {!build}s, so a cleared
       builder reused across a DP's cells reaches a fixed point where
@@ -106,8 +108,6 @@ end
 (** [map_data f c] maps only the carried payloads; coordinates — and
     hence the frontier — are unchanged. *)
 val map_data : ('a -> 'b) -> 'a t -> 'b t
-
-val fold : ('acc -> 'a Solution.t -> 'acc) -> 'acc -> 'a t -> 'acc
 
 val iter : ('a Solution.t -> unit) -> 'a t -> unit
 

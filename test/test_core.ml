@@ -326,6 +326,200 @@ let prop_build_moves_split seed =
        ok)
     (List.init 30 (fun i -> i))
 
+(* ---------- *PTREE candidate pre-filters ---------- *)
+
+(* Push grids: none, fine, the default, and coarse enough that many
+   distinct candidates quantise to the same cost. *)
+let prefilter_grids =
+  [| (0.0, 0.0, 0.0); (0.5, 0.25, 0.5); (10.0, 10.0, 8.0);
+     (50.0, 40.0, 30.0); (200.0, 100.0, 60.0) |]
+
+(* A random curve of width 1-12: up to 24 points pruned and capped by
+   the builder, so it is a real frontier.  Required time grows with load
+   (plus noise) so frontiers come out wide; [flat] curves have area 0
+   (PTREE's regime); [lattice] coordinates are small multiples, so sums
+   tie exactly; and half the curves sit on the push grid already, as the
+   DP's curves do. *)
+let random_curve rng ~flat ~lattice (req_grid, load_grid, area_grid) data =
+  let bld = Curve.Builder.create () in
+  let draw hi =
+    if lattice then Float.of_int (Random.State.int rng 20) *. hi /. 20.0
+    else Random.State.float rng hi
+  in
+  let on_grid = Random.State.bool rng in
+  for i = 0 to Random.State.int rng 24 do
+    let load = 1.0 +. draw 200.0 in
+    let s =
+      Solution.make ~req:((8.0 *. load) +. draw 600.0) ~load
+        ~area:(if flat then 0.0 else draw 100.0) (data i)
+    in
+    let s =
+      if on_grid then Solution.quantise ~req_grid ~load_grid ~area_grid s
+      else s
+    in
+    Curve.Builder.add bld s
+  done;
+  Curve.Builder.build ~max_size:12 bld
+
+(* Bitwise coordinates, equal payloads (under [same]) in the same
+   order. *)
+let same_points same x y =
+  let bits = Int64.bits_of_float in
+  Curve.size x = Curve.size y
+  && List.for_all2
+       (fun (s : _ Solution.t) (t : _ Solution.t) ->
+          Int64.equal (bits s.Solution.req) (bits t.Solution.req)
+          && Int64.equal (bits s.Solution.load) (bits t.Solution.load)
+          && Int64.equal (bits s.Solution.area) (bits t.Solution.area)
+          && same s.Solution.data t.Solution.data)
+       (Curve.to_list x) (Curve.to_list y)
+
+let push_quantised bld (req_grid, load_grid, area_grid) ~req ~load ~area data =
+  let q =
+    Solution.quantise ~req_grid ~load_grid ~area_grid
+      (Solution.make ~req ~load ~area ())
+  in
+  Curve.Builder.push bld ~req:q.Solution.req ~load:q.Solution.load
+    ~area:q.Solution.area data
+
+(* One scratch for every case, as a context shares one across its
+   runs: it only grows. *)
+let prefilter_scratch = Star_ptree.new_scratch ()
+
+let counted f =
+  let adds = Atomic.get Star_ptree.n_join_adds
+  and filtered = Atomic.get Star_ptree.n_join_filtered in
+  f ();
+  (Atomic.get Star_ptree.n_join_adds - adds,
+   Atomic.get Star_ptree.n_join_filtered - filtered)
+
+(* The filtered join batch builds the same curve as pushing every pair
+   of every split: 1-3 splits into one builder, capped or not. *)
+let prop_join_prefilter seed =
+  let rng = Random.State.make [| seed |] in
+  let quant = prefilter_grids.(Random.State.int rng 5) in
+  let flat = Random.State.int rng 3 = 0 and lattice = Random.State.bool rng in
+  let next = ref 0 in
+  let curve () =
+    random_curve rng ~flat ~lattice quant (fun _ -> incr next; !next)
+  in
+  let splits = List.init (1 + Random.State.int rng 3) (fun _ -> (curve (), curve ())) in
+  let max_size =
+    if Random.State.bool rng then None else Some (2 + Random.State.int rng 8)
+  in
+  let cost = Curve.Builder.new_cost () in
+  let reference = Curve.Builder.create () in
+  List.iter
+    (fun (left, right) ->
+       Curve.iter
+         (fun a ->
+            Curve.iter
+              (fun b ->
+                 Build.join_cost_into cost a b;
+                 push_quantised reference quant ~req:cost.Curve.Builder.creq
+                   ~load:cost.Curve.Builder.cload ~area:cost.Curve.Builder.carea
+                   (a.Solution.data, b.Solution.data))
+              right)
+         left)
+    splits;
+  let expected = Curve.Builder.build ?max_size reference in
+  let bld = Curve.Builder.create () in
+  let adds, filtered =
+    counted (fun () ->
+        List.iter
+          (fun (left, right) ->
+             Star_ptree.join_product prefilter_scratch ~quant bld left right)
+          splits)
+  in
+  let got =
+    Curve.Builder.build_map ?max_size bld ~f:(fun (a, b) ->
+        (a.Solution.data, b.Solution.data))
+  in
+  same_points
+    (fun (a, b) (c, d) -> Int.equal a c && Int.equal b d)
+    expected got
+  && Int.equal (Curve.Builder.kept reference) (Curve.Builder.kept bld)
+  && Int.equal (adds + filtered)
+       (List.fold_left
+          (fun n (l, r) -> n + (Curve.size l * Curve.size r))
+          0 splits)
+
+(* On flat curves with exact sums the filter leaves van Ginneken's
+   merge: for each point of one operand, at most one partner of the
+   other with the higher required time, so at most |left| + |right|
+   pushes instead of |left| * |right|. *)
+let prop_join_prefilter_flat seed =
+  let rng = Random.State.make [| seed |] in
+  let quant = (0.0, 0.0, 0.0) in
+  let left = random_curve rng ~flat:true ~lattice:true quant Fun.id
+  and right = random_curve rng ~flat:true ~lattice:true quant Fun.id in
+  let bld = Curve.Builder.create () in
+  let adds, _ =
+    counted (fun () ->
+        Star_ptree.join_product prefilter_scratch ~quant bld left right)
+  in
+  adds <= Curve.size left + Curve.size right
+
+(* The filtered buffer closure builds the same curve as pushing every
+   trial: curves mixing buffered and open roots, subsets of 0-8
+   buffers. *)
+let prop_close_prefilter seed =
+  let rng = Random.State.make [| seed |] in
+  let quant = prefilter_grids.(Random.State.int rng 5) in
+  let flat = Random.State.int rng 3 = 0 and lattice = Random.State.bool rng in
+  let net = mk_net 24 seed in
+  let library = Array.copy buffers in
+  for i = Array.length library - 1 downto 1 do
+    let j = Random.State.int rng (i + 1) in
+    let t = library.(i) in
+    library.(i) <- library.(j);
+    library.(j) <- t
+  done;
+  let subset = Array.sub library 0 (Random.State.int rng 9) in
+  let curve =
+    random_curve rng ~flat ~lattice quant (fun i ->
+        let s = Build.of_sink (Net.sink net i) in
+        if Random.State.int rng 4 = 0 then
+          (Build.add_root_buffer buffers.(Random.State.int rng 34) s).Solution.data
+        else s.Solution.data)
+  in
+  let max_size = 2 + Random.State.int rng 8 in
+  let reference = Curve.Builder.create () in
+  Curve.iter
+    (fun s -> Curve.Builder.add reference (Solution.map (fun d -> Star_ptree.Kept d) s))
+    curve;
+  Curve.iter
+    (fun s ->
+       match s.Solution.data.Build.tree with
+       | Rtree.Node { buffer = Some _; _ } -> ()
+       | Rtree.Leaf _ | Rtree.Node { buffer = None; _ } ->
+         Array.iter
+           (fun b ->
+              let t = Build.add_root_buffer b s in
+              push_quantised reference quant ~req:t.Solution.req
+                ~load:t.Solution.load ~area:t.Solution.area
+                (Star_ptree.Buffered (b, s)))
+           subset)
+    curve;
+  let expected = Curve.Builder.build ~max_size reference in
+  let bld = Curve.Builder.create () in
+  Star_ptree.close_product prefilter_scratch ~quant ~subset bld curve;
+  let got = Curve.Builder.build ~max_size bld in
+  let sink (d : Build.t) =
+    match d.Build.members with [ Catree.Direct id ] -> id | _ -> -1
+  in
+  let same x y =
+    match (x, y) with
+    | Star_ptree.Kept d, Star_ptree.Kept e -> Int.equal (sink d) (sink e)
+    | Star_ptree.Buffered (b, s), Star_ptree.Buffered (c, t) ->
+      String.equal b.Buffer_lib.name c.Buffer_lib.name
+      && Int.equal (sink s.Solution.data) (sink t.Solution.data)
+    | Star_ptree.Kept _, Star_ptree.Buffered _
+    | Star_ptree.Buffered _, Star_ptree.Kept _ -> false
+  in
+  same_points same expected got
+  && Int.equal (Curve.Builder.kept reference) (Curve.Builder.kept bld)
+
 (* ---------- Bubble_construct ---------- *)
 
 let construct ?(cfg = tiny_cfg) net order =
@@ -523,6 +717,15 @@ let suite =
       QCheck_alcotest.to_alcotest
         (QCheck.Test.make ~name:"build moves = data-only form + cost twin"
            ~count:100 QCheck.(int_bound 10_000) prop_build_moves_split);
+      QCheck_alcotest.to_alcotest
+        (QCheck.Test.make ~name:"join pre-filter = unfiltered join build"
+           ~count:2000 QCheck.(int_bound 1_000_000) prop_join_prefilter);
+      QCheck_alcotest.to_alcotest
+        (QCheck.Test.make ~name:"join pre-filter on flat curves = merge"
+           ~count:500 QCheck.(int_bound 1_000_000) prop_join_prefilter_flat);
+      QCheck_alcotest.to_alcotest
+        (QCheck.Test.make ~name:"close pre-filter = unfiltered closure build"
+           ~count:2000 QCheck.(int_bound 1_000_000) prop_close_prefilter);
       Alcotest.test_case "bubble: validity, Lemma 5, C-alpha" `Slow
         test_bubble_valid_and_in_neighborhood;
       Alcotest.test_case "bubble: pessimistic quantisation" `Quick

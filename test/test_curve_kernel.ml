@@ -251,18 +251,22 @@ let test_cap_preserves_extremes () =
     end
   done
 
-(* The builder reports and clears its pending candidates. *)
+(* A fresh builder builds empty; a cleared one has forgotten its
+   pushes, and the accessor reads a built curve in key order. *)
 let test_builder_lifecycle () =
   let bld = Curve.Builder.create ~hint:2 () in
-  Alcotest.(check int) "fresh builder empty" 0 (Curve.Builder.length bld);
+  Alcotest.(check int) "fresh build empty" 0
+    (Curve.size (Curve.Builder.build bld));
   for i = 1 to 10 do
     Curve.Builder.push bld ~req:(float_of_int i) ~load:1.0 ~area:1.0 i
   done;
-  Alcotest.(check int) "ten pushed" 10 (Curve.Builder.length bld);
   let c = Curve.Builder.build bld in
   Alcotest.(check int) "frontier of ten" 1 (Curve.size c);
+  Alcotest.(check int) "kept" 1 (Curve.Builder.kept bld);
+  Alcotest.(check int) "get reads the survivor" 10 (Curve.get c 0).Solution.data;
+  Alcotest.check_raises "get past the end"
+    (Invalid_argument "index out of bounds") (fun () -> ignore (Curve.get c 1));
   Curve.Builder.clear bld;
-  Alcotest.(check int) "cleared" 0 (Curve.Builder.length bld);
   Alcotest.(check int) "empty build" 0 (Curve.size (Curve.Builder.build bld))
 
 (* Under MERLIN_CHECK the batch results, capped or not, must satisfy
