@@ -443,24 +443,28 @@ let hier_table ~opts pool () =
 (* Curve-kernel workload: bytes moved and frontier width               *)
 (* ------------------------------------------------------------------ *)
 
-(* Committed allocation budget for the workload below: bytes allocated
-   per join build (Gc.allocated_bytes delta around the join kernel entry
-   point).  The rows measured 15.3K at n=10 and 13.8K at n=12 with the
-   arena-reused, tuple-free kernel (EXPERIMENTS.md "Bytes moved"), and
-   read 16.8K and 15.8K once the cell memo left only the wider joins
-   and every row started from a collected heap.  Since the builder caps
-   each batch at max_curve before materialising, so only kept points get
-   a Solution.t, a payload and a tree, the n=10 row reads 8.07K
+(* Committed allocation budget for the workload below: bytes allocated per
+   join build (Star_ptree.allocated_bytes delta around the join kernel
+   entry point).  The rows measured 15.3K at n=10 and 13.8K at n=12 with
+   the arena-reused, tuple-free kernel (EXPERIMENTS.md "Bytes moved"), and
+   read 16.8K and 15.8K once the cell memo left only the wider joins and
+   every row started from a collected heap.  Since the builder caps each
+   batch at max_curve before materialising, so only kept points get a
+   Solution.t, a payload and a tree, the n=10 row reads 8.07K
    (EXPERIMENTS.md "Cap inside the build"), and 4.47K once the exact
-   pre-filters stopped pushing join pairs and buffer trials the build
-   would drop (EXPERIMENTS.md "Exact candidate pre-filters").  The
-   --smoke run fails when
-   the measured value exceeds this by more than 25%, so an accidental
-   return to per-build scratch, per-candidate boxing or materialising
+   pre-filters stopped pushing join pairs and buffer trials the build would
+   drop (EXPERIMENTS.md "Exact candidate pre-filters").  Those figures were
+   Gc.allocated_bytes deltas, which on OCaml 5.1 move with the minor heap's
+   fill; counted with Star_ptree.allocated_bytes, which does not, the same
+   code reads 4.65K, and 2.83K once the kernels pushed int codes instead of
+   payload tuples and built trees only for kept points (EXPERIMENTS.md
+   "Index-named candidates").  The --smoke run fails when the measured
+   value exceeds this by more than 25%, so an accidental return to
+   per-build scratch, per-candidate boxing, boxed payloads or materialising
    points the cap drops cannot land silently.  Recalibrate (with the
    measured value from a quiet machine, recorded in EXPERIMENTS.md) when
    the kernel deliberately changes. *)
-let alloc_budget_bytes_per_join = 4470.0
+let alloc_budget_bytes_per_join = 2833.0
 
 (* Committed work budget for the same rows: *PTREE cells computed per
    merge, i.e. per *PTREE run.  Cells memoised by a construction's context
@@ -472,26 +476,28 @@ let cells_budget_per_merge = 1.45
 
 (* Committed allocation budget for Flow I's logic phase: bytes
    [Lttree.best] allocates, summed over the smoke Table 1 nets (n <= 10)
-   at Flow I's max_fanout 10, each call from a collected heap (without
-   the collection the same calls read up to 28% more, depending on what
-   ran before).  The answer-bounded DP measured 13.12 MB here, against
-   about 230 MB for the unbounded DP it replaced (EXPERIMENTS.md "LTTREE
-   bound"), and 2.74 MB once [Delay_model.delay] stopped allocating a
-   pair per call.  The --smoke run fails above budget x1.25, so a return
-   to building curves nobody reads cannot land silently. *)
-let lttree_budget_bytes = 2.74e6
+   at Flow I's max_fanout 10.  The answer-bounded DP measured 13.12 MB
+   here, against about 230 MB for the unbounded DP it replaced
+   (EXPERIMENTS.md "LTTREE bound"), and 2.74 MB once [Delay_model.delay]
+   stopped allocating a pair per call.  Those were Gc.allocated_bytes
+   deltas from a collected heap, which miss what sits in the minor heap
+   when the window closes (with a 32M-word minor heap the same calls
+   read 0.83 MB); Star_ptree.allocated_bytes counts every word whatever
+   the heap holds, and reads 5.87 MB for the same code.  The --smoke
+   run fails above budget x1.25, so a return to building curves nobody
+   reads cannot land silently. *)
+let lttree_budget_bytes = 5.87e6
 
 let lttree_smoke_bytes () =
   Net_gen.table1_nets tech
   |> List.filter (fun (_, _, net) -> Net.n_sinks net <= 10)
   |> List.fold_left
        (fun acc (_, _, net) ->
-          Gc.full_major ();
-          let before = Gc.allocated_bytes () in
+          let before = Merlin_core.Star_ptree.allocated_bytes () in
           ignore
             (Merlin_lttree.Lttree.best ~buffers ~max_fanout:10
                ~driver:net.Net.driver (Array.to_list net.Net.sinks));
-          acc +. (Gc.allocated_bytes () -. before))
+          acc +. (Merlin_core.Star_ptree.allocated_bytes () -. before))
        0.0
 
 type kernel_snap = {
@@ -576,7 +582,7 @@ let curve_table ~opts () =
   in
   let (rows, lttree_bytes), wall_s =
     Clock.timed (fun () ->
-        (* Sequential on purpose: Gc.allocated_bytes deltas are
+        (* Sequential on purpose: allocation counter deltas are
            per-domain, and one domain keeps every row's bytes columns
            attributable to that row alone. *)
         let rows =

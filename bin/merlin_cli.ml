@@ -129,7 +129,7 @@ let dump_stats pool =
 
 (* Curve-kernel telemetry (process-lifetime totals): frontier adds, the
    candidates the exact pre-filters drop before pushing, and
-   Gc.allocated_bytes deltas per *PTREE entry point, see Star_ptree.
+   allocation deltas per *PTREE entry point, see Star_ptree.
    Cells memoised within a construction count once. *)
 let dump_curve_stats () =
   let g = Atomic.get in

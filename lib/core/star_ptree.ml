@@ -1,22 +1,6 @@
 open Merlin_geometry
 open Merlin_curves
 
-(* Evenly spaced subset of the library tried at every routing root.  The
-   library is a graded single-parameter family, so a spread of strengths
-   loses little; the knob is documented in Config. *)
-let buffer_subset buffers ~trials =
-  let n = Array.length buffers in
-  if n <= trials then buffers
-  else
-    Array.init trials (fun i -> buffers.(i * (n - 1) / (max 1 (trials - 1))))
-
-(* Deferred payload of the buffer-closure batch: frontier survivors that
-   were already in the curve keep their tree; buffered candidates build
-   theirs only after pruning. *)
-type close_payload =
-  | Kept of Build.t
-  | Buffered of Merlin_tech.Buffer_lib.buffer * Build.sol
-
 (* One join operand's coordinates, read once per split, and dom (see
    [load_columns]); grow-only. *)
 type columns = {
@@ -30,19 +14,28 @@ let new_columns () =
   { req = Float.Array.create 0; load = Float.Array.create 0;
     area = Float.Array.create 0; dom = [||] }
 
-(* One scratch builder per payload type, shared by every DP of a
-   context (the builders own their sort/staircase/selection scratch, see
-   Curve.Builder): joins, buffer closures and extend-to-root batches
-   (pull and sub-terminal bases never interleave).  A cleared builder is
-   observationally a fresh one, so sharing them across runs changes no
+(* Scratch shared by every DP of a context.  [bld] is the one builder
+   of every kernel batch — joins, buffer closures and extend-to-root
+   batches (pull and sub-terminal bases) — and it owns its
+   sort/staircase/selection scratch (see Curve.Builder).  Its payloads
+   are int codes naming candidates, and each batch's build_map decodes
+   the codes of the points it keeps, reading the batch's operands from
+   [bases] (see [part_of]) and the join operands [lefts] and [rights],
+   or from [open_ix] (closures).  No two
+   batches interleave: each is built before the next one opens, and the
+   join pre-loop in [run_in] fills every relocation memo before the join
+   batch opens, so [pull] never runs inside a batch and the operands
+   recorded here always belong to the open one.  A cleared builder is
+   observationally a fresh one, so sharing it across runs changes no
    result.  [cost] is the flat cost record threaded through every cost
    computation (see [run_in]), and the rest is the pre-filters'
    grow-only scratch (see [join_product] and [close_product]). *)
 type scratch = {
-  join_bld : (Build.t Solution.t * Build.t Solution.t) Curve.Builder.b;
-  close_bld : close_payload Curve.Builder.b;
-  extend_bld : Build.t Solution.t Curve.Builder.b;
+  bld : int Curve.Builder.b;
   cost : Curve.Builder.cost;
+  mutable lefts : Build.t Curve.t array;
+  mutable rights : Build.t Curve.t array;
+  mutable bases : int array;
   left_cols : columns;
   right_cols : columns;
   mutable open_ix : int array;
@@ -53,10 +46,11 @@ type scratch = {
 }
 
 let new_scratch () =
-  { join_bld = Curve.Builder.create ();
-    close_bld = Curve.Builder.create ();
-    extend_bld = Curve.Builder.create ();
+  { bld = Curve.Builder.create ();
     cost = Curve.Builder.new_cost ();
+    lefts = [||];
+    rights = [||];
+    bases = [||];
     left_cols = new_columns ();
     right_cols = new_columns ();
     open_ix = [||];
@@ -112,8 +106,9 @@ type terminal =
 
 let context ~tech ~buffers ~trials ~max_curve ~quant ~bbox_slack ~candidates
     () =
-  { tech; subset = buffer_subset buffers ~trials; max_curve; quant;
-    bbox_slack; candidates; scratch = new_scratch (); cells = Runs.create 16 }
+  { tech; subset = Merlin_tech.Buffer_lib.subset buffers ~trials; max_curve;
+    quant; bbox_slack; candidates; scratch = new_scratch ();
+    cells = Runs.create 16 }
 
 let sub curves = { id = Atomic.fetch_and_add next_sub 1; curves }
 
@@ -152,10 +147,10 @@ let n_dropped = Atomic.make 0
 let n_join_filtered = Atomic.make 0
 let n_close_filtered = Atomic.make 0
 
-(* Bytes-moved telemetry: [Gc.allocated_bytes] deltas around each kernel
+(* Bytes-moved telemetry: [allocated_bytes] deltas around each kernel
    entry point (join, buffer closure, pull, base), plus join-build and
    survivor counts so bytes-per-join and mean frontier width fall out of
-   a single counter snapshot.  [Gc.allocated_bytes] is per-domain, so a
+   a single counter snapshot.  The GC counters are per-domain, so a
    delta taken inside one task is that task's own allocation; the atomic
    accumulation makes the totals safe under the execution engine. *)
 let n_joins = Atomic.make 0
@@ -173,10 +168,21 @@ let drop ctx terminals =
        Runs.remove ctx.cells run)
     (Runs.find_opt ctx.cells run)
 
+(* Bytes this domain has allocated so far: the words allocated on the
+   minor heap plus those allocated directly on the major heap (major
+   words less the promoted ones, which were counted when they were
+   allocated young).  Unlike [Gc.allocated_bytes], which on OCaml 5.1
+   jumps when a minor collection promotes, the sum stays put across a
+   collection, so consecutive windows add up to the whole. *)
+let allocated_bytes () =
+  let _, promoted, major = Gc.counters () in
+  (Gc.minor_words () +. (major -. promoted))
+  *. float_of_int (Sys.word_size / 8)
+
 let add_bytes counter before =
   ignore
     (Atomic.fetch_and_add counter
-       (int_of_float (Gc.allocated_bytes () -. before)))
+       (int_of_float (allocated_bytes () -. before)))
 
 (* Quantise a cost record in place to the push grids: the same
    floor/ceil expressions as Solution.quantise, so bit-identical. *)
@@ -256,18 +262,20 @@ let rival_differs (_, load_grid, area_grid) xs i i' ys j =
          (ceil (area' /. area_grid) *. area_grid))
   else not (Float.equal area area')
 
-(* The join product of one split: push (a, b) for every a of [left] and
-   b of [right], except the pairs another pair of the same product
-   provably beats.  Let a.req <= b.req, so the pair's req is a's, and d
-   = dom(b) with d.req >= a.req: (a, d) has the same req and no more
-   load or area, and quantising is monotone, so it weakly dominates
-   (a, b).  If the quantised costs differ, the sweep puts (a, d) first
-   and drops (a, b).  If they tie, it keeps the earlier push, which is
-   (a, b) (d sits after b in its curve), so (a, b) is pushed.  The case
-   b.req < a.req is the same with d = dom(a).  A dropped pair costs
-   only its comparison; the pushed ones go through Build.join_cost_into
-   like every other candidate. *)
-let join_product scratch ~quant bld left right =
+(* The join product of one split: push every pair (a, b) of a = [left]
+   at ia and b = [right] at ib, named by the code [base + ia * |right| +
+   ib] (its offset in the batch's product when [base] is the split's),
+   except the pairs another pair of the same product provably beats.
+   Let a.req <= b.req, so the pair's req is a's, and d = dom(b) with
+   d.req >= a.req: (a, d) has the same req and no more load or area,
+   and quantising is monotone, so it weakly dominates (a, b).  If the
+   quantised costs differ, the sweep puts (a, d) first and drops (a, b).
+   If they tie, it keeps the earlier push, which is (a, b) (d sits after
+   b in its curve), so (a, b) is pushed.  The case b.req < a.req is the
+   same with d = dom(a).  A dropped pair costs only its comparison; the
+   pushed ones go through Build.join_cost_into like every other
+   candidate. *)
+let join_product scratch ~quant bld ~base left right =
   let nl = Curve.size left and nr = Curve.size right in
   let lc = scratch.left_cols and rc = scratch.right_cols in
   load_columns lc left;
@@ -295,10 +303,9 @@ let join_product scratch ~quant bld left right =
       in
       if not beaten then begin
         incr pushed;
-        let b = Curve.get right ib in
-        Build.join_cost_into cost a b;
+        Build.join_cost_into cost a (Curve.get right ib);
         quantise_cost quant cost;
-        Curve.Builder.push_cost bld cost (a, b)
+        Curve.Builder.push_cost bld cost (base + (ia * nr) + ib)
       end
     done
   done;
@@ -309,7 +316,9 @@ let join_product scratch ~quant bld left right =
    every (solution, buffer) trial on an unbuffered root, in that order
    — so equal-cost ties resolve exactly as they did when the candidates
    were added one by one into the existing curve — except the trials
-   another trial of the same buffer provably beats.  Re-buffering an
+   another trial of the same buffer provably beats.  Solution i is
+   named by the code i, and the trial of buffer bi on the oi-th open
+   root by n + oi * nb + bi (see [close_data]).  Re-buffering an
    existing buffer (a same-point repeater) is dominated by picking the
    right single size from the graded library, so it is never tried.
    All trials of one buffer have its input capacitance as their load,
@@ -324,7 +333,7 @@ let close_product scratch ~quant ~subset bld curve =
   for i = 0 to n - 1 do
     let sol = Curve.get curve i in
     Curve.Builder.push bld ~req:sol.Solution.req ~load:sol.Solution.load
-      ~area:sol.Solution.area (Kept sol.Solution.data)
+      ~area:sol.Solution.area i
   done;
   scratch.open_ix <- grow_ints scratch.open_ix n;
   let open_ix = scratch.open_ix and n_open = ref 0 in
@@ -374,21 +383,51 @@ let close_product scratch ~quant ~subset bld curve =
     done
   done;
   let pushed = ref 0 in
-  for oi = 0 to n_open - 1 do
-    let sol = Curve.get curve open_ix.(oi) in
-    for bi = 0 to nb - 1 do
-      let t = (oi * nb) + bi in
-      if not beaten.(t) then begin
-        incr pushed;
-        cost.Curve.Builder.creq <- Float.Array.get treq t;
-        cost.Curve.Builder.cload <- Float.Array.get tload t;
-        cost.Curve.Builder.carea <- Float.Array.get tarea t;
-        Curve.Builder.push_cost bld cost (Buffered (subset.(bi), sol))
-      end
-    done
+  for t = 0 to nt - 1 do
+    if not beaten.(t) then begin
+      incr pushed;
+      cost.Curve.Builder.creq <- Float.Array.get treq t;
+      cost.Curve.Builder.cload <- Float.Array.get tload t;
+      cost.Curve.Builder.carea <- Float.Array.get tarea t;
+      Curve.Builder.push_cost bld cost (n + t)
+    end
   done;
   ignore (Atomic.fetch_and_add n_close_adds !pushed);
   ignore (Atomic.fetch_and_add n_close_filtered (nt - !pushed))
+
+(* The tree and members of closure candidate [code] of [curve], as
+   [close_product] named it; [open_ix] still holds that batch's open
+   roots. *)
+let close_data scratch ~subset curve code =
+  let n = Curve.size curve in
+  if code < n then (Curve.get curve code).Solution.data
+  else begin
+    let nb = Array.length subset and t = code - n in
+    Build.add_root_buffer_data subset.(t mod nb)
+      (Curve.get curve scratch.open_ix.(t / nb))
+  end
+
+(* Room for the [n] splits of a join batch: their operands and n + 1
+   bases. *)
+let ensure_splits scratch n =
+  if Array.length scratch.lefts < n then begin
+    scratch.lefts <- Array.make (2 * n) Curve.empty;
+    scratch.rights <- Array.make (2 * n) Curve.empty
+  end;
+  scratch.bases <- grow_ints scratch.bases (n + 1)
+
+(* The part of the open batch that candidate [code] belongs to: the last
+   of the [n] parts whose base is at most [code] ([bases.(n)] is the
+   batch's product size, and an empty part, which holds no code, shares
+   its base with the next). *)
+let part_of scratch n code =
+  let bases = scratch.bases in
+  let lo = ref 0 and hi = ref n in
+  while !hi - !lo > 1 do
+    let mid = (!lo + !hi) / 2 in
+    if bases.(mid) <= code then lo := mid else hi := mid
+  done;
+  !lo
 
 let run_in ctx ~active ~terminals =
   let { tech; subset; max_curve; quant; bbox_slack; candidates; scratch;
@@ -402,33 +441,53 @@ let run_in ctx ~active ~terminals =
   let term_ids = Array.map terminal_key terminals in
   let req_grid, load_grid, area_grid = quant in
   (* Steady-state cells allocate only their kept points.  Every batch is
-     one Curve.Builder.build_map: pruned, capped at [max_curve], and only
-     then materialised, so no tree is built for a point the cap drops. *)
-  let { join_bld; close_bld; extend_bld; cost; _ } = scratch in
-  (* One flat cost record threaded through every cost computation of the
-     run: Build.*_cost_into writes the three coordinates as unboxed
-     float stores, [quantise_cost] rounds them in place and
-     Curve.Builder.push_cost moves them into the builder columns.  No
-     (req, load, area) tuple and no boxed floats per candidate — spelled
-     out manually because the non-flambda compiler does not deforest
-     tuples across function boundaries. *)
-  let push_quant bld payload =
-    quantise_cost quant cost;
-    Curve.Builder.push_cost bld cost payload
+     one Curve.Builder.build_map over int codes naming its candidates:
+     pruned, capped at [max_curve], and only then decoded and
+     materialised, so no tree is built for a point the cap drops.
+     [cost] is the one flat cost record threaded through every cost
+     computation of the run: Build.*_cost_into writes the three
+     coordinates as unboxed float stores, [quantise_cost] rounds them in
+     place and Curve.Builder.push_cost moves them into the builder
+     columns.  No (req, load, area) tuple and no boxed floats per
+     candidate — spelled out manually because the non-flambda compiler
+     does not deforest tuples across function boundaries. *)
+  let { bld; cost; _ } = scratch in
+  (* Extend every solution of [curves] to [root] through a wire, as one
+     batch: a candidate's code is its flat index over [curves]. *)
+  let extend_all ~name counter root curves =
+    let n = Array.length curves in
+    scratch.bases <- grow_ints scratch.bases (n + 1);
+    let bases = scratch.bases in
+    Curve.Builder.clear bld;
+    let code = ref 0 in
+    for s = 0 to n - 1 do
+      let c = curves.(s) in
+      bases.(s) <- !code;
+      for i = 0 to Curve.size c - 1 do
+        Build.extend_wire_cost_into cost tech ~to_:root (Curve.get c i);
+        quantise_cost quant cost;
+        Curve.Builder.push_cost bld cost !code;
+        incr code
+      done
+    done;
+    bases.(n) <- !code;
+    ignore (Atomic.fetch_and_add counter !code);
+    Curve.Builder.build_map ~name ~max_size:max_curve bld ~f:(fun code ->
+        let s = part_of scratch n code in
+        Build.extend_wire_data ~to_:root
+          (Curve.get curves.(s) (code - bases.(s))))
   in
   (* With no buffer to try the closure would rebuild the curve it was
      given, which is already a capped frontier: hand it back as is. *)
   let close_buffers curve =
     if Curve.is_empty curve || Array.length subset = 0 then curve
     else begin
-      let before = Gc.allocated_bytes () in
-      Curve.Builder.clear close_bld;
-      close_product scratch ~quant ~subset close_bld curve;
+      let before = allocated_bytes () in
+      Curve.Builder.clear bld;
+      close_product scratch ~quant ~subset bld curve;
       let out =
         Curve.Builder.build_map ~name:"Star_ptree.close_buffers"
-          ~max_size:max_curve close_bld ~f:(function
-          | Kept data -> data
-          | Buffered (b, sol) -> Build.add_root_buffer_data b sol)
+          ~max_size:max_curve bld ~f:(close_data scratch ~subset curve)
       in
       add_bytes bytes_close before;
       out
@@ -474,19 +533,9 @@ let run_in ctx ~active ~terminals =
   let idx i j = (i * m) + j in
   let pull computed p =
     Atomic.incr n_pulls;
-    let before = Gc.allocated_bytes () in
-    let root = candidates.(p) in
-    let bld = extend_bld in
-    Curve.Builder.clear bld;
-    Array.iter
-      (Curve.iter (fun sol ->
-         Atomic.incr n_pull_adds;
-         Build.extend_wire_cost_into cost tech ~to_:root sol;
-         push_quant bld sol))
-      computed;
+    let before = allocated_bytes () in
     let out =
-      Curve.Builder.build_map ~name:"Star_ptree.pull" ~max_size:max_curve bld
-        ~f:(Build.extend_wire_data ~to_:root)
+      extend_all ~name:"Star_ptree.pull" n_pull_adds candidates.(p) computed
     in
     add_bytes bytes_pull before;
     out
@@ -531,7 +580,7 @@ let run_in ctx ~active ~terminals =
     let computed = Array.make k Curve.empty in
     let raw =
       if i = j then fun p ->
-        let before = Gc.allocated_bytes () in
+        let before = allocated_bytes () in
         let root = candidates.(p) in
         let out =
           match terminals.(i) with
@@ -541,38 +590,47 @@ let run_in ctx ~active ~terminals =
               (Solution.quantise ~req_grid ~load_grid ~area_grid
                  (Build.extend_wire tech ~to_:root (Build.of_sink s)))
           | Sub_term sub ->
-            let bld = extend_bld in
-            Curve.Builder.clear bld;
-            Array.iter
-              (Curve.iter (fun sol ->
-                 Atomic.incr n_base_adds;
-                 Build.extend_wire_cost_into cost tech ~to_:root sol;
-                 push_quant bld sol))
-              sub.curves;
-            Curve.Builder.build_map ~name:"Star_ptree.raw" ~max_size:max_curve
-              bld ~f:(Build.extend_wire_data ~to_:root)
+            extend_all ~name:"Star_ptree.raw" n_base_adds root sub.curves
         in
         add_bytes bytes_base before;
         out
       else fun p ->
         let root = candidates.(p) in
         (* Memoised relocations first, so any pull they trigger is
-           attributed to [bytes_pull] instead of this join's delta. *)
+           attributed to [bytes_pull] instead of this join's delta, and
+           none runs inside the join batch (see [scratch]). *)
         for u = i to j - 1 do
           ignore (cell_at i u p);
           ignore (cell_at (u + 1) j p)
         done;
-        let before = Gc.allocated_bytes () in
+        let before = allocated_bytes () in
         (* The join products of every split into one batch: prune once,
-           and only build the joined trees that survive. *)
-        let bld = join_bld in
+           and only build the joined trees that survive.  Split u is
+           part u - i, its operands read into the scratch once. *)
+        let n = j - i in
+        ensure_splits scratch n;
+        let lefts = scratch.lefts and rights = scratch.rights
+        and bases = scratch.bases in
         Curve.Builder.clear bld;
-        for u = i to j - 1 do
-          join_product scratch ~quant bld (cell_at i u p) (cell_at (u + 1) j p)
+        let base = ref 0 in
+        for s = 0 to n - 1 do
+          let left = cell_at i (i + s) p and right = cell_at (i + s + 1) j p in
+          lefts.(s) <- left;
+          rights.(s) <- right;
+          bases.(s) <- !base;
+          join_product scratch ~quant bld ~base:!base left right;
+          base := !base + (Curve.size left * Curve.size right)
         done;
+        bases.(n) <- !base;
         let out =
           Curve.Builder.build_map ~name:"Star_ptree.join" ~max_size:max_curve
-            bld ~f:(fun (a, b) -> Build.join_data root a b)
+            bld ~f:(fun code ->
+                let s = part_of scratch n code in
+                let right = rights.(s) and off = code - bases.(s) in
+                let nr = Curve.size right in
+                Build.join_data root
+                  (Curve.get lefts.(s) (off / nr))
+                  (Curve.get right (off mod nr)))
         in
         Atomic.incr n_joins;
         (* Survivors count the join's frontier before the cap. *)

@@ -89,15 +89,14 @@ val run_in :
 (**/**)
 (* One batch's product loops, exposed so the filtered = unfiltered
    oracle in test/test_core.ml can drive them without a whole run.
-   [join_product s ~quant bld left right] pushes one split's join pairs
-   into [bld], and [close_product s ~quant ~subset bld curve] the
-   buffer closure of [curve]: both leave out only candidates the build
-   provably drops (DESIGN.md §9 "Exact candidate pre-filters"), and
-   neither clears [bld]. *)
-type close_payload =
-  | Kept of Build.t
-  | Buffered of Buffer_lib.buffer * Build.sol
-
+   [join_product s ~quant bld ~base left right] pushes one split's join
+   pairs into [bld], the pair of [left] at ia and [right] at ib under
+   the code [base + ia * size right + ib]; [close_product s ~quant
+   ~subset bld curve] pushes the buffer closure of [curve], solution i
+   under the code i and the trial of [subset.(bi)] on the oi-th root of
+   [curve] without a buffer under [size curve + oi * size subset + bi].
+   Both leave out only candidates the build provably drops (DESIGN.md
+   §9 "Exact candidate pre-filters"), and neither clears [bld]. *)
 type scratch
 
 val new_scratch : unit -> scratch
@@ -105,7 +104,8 @@ val new_scratch : unit -> scratch
 val join_product :
   scratch ->
   quant:float * float * float ->
-  ('a Solution.t * 'a Solution.t) Curve.Builder.b ->
+  int Curve.Builder.b ->
+  base:int ->
   'a Curve.t ->
   'a Curve.t ->
   unit
@@ -114,7 +114,7 @@ val close_product :
   scratch ->
   quant:float * float * float ->
   subset:Buffer_lib.t ->
-  close_payload Curve.Builder.b ->
+  int Curve.Builder.b ->
   Build.t Curve.t ->
   unit
 
@@ -137,7 +137,13 @@ val n_dropped : int Atomic.t
 val n_join_filtered : int Atomic.t
 val n_close_filtered : int Atomic.t
 
-(* Bytes-moved telemetry: Gc.allocated_bytes deltas accumulated around
+(* Bytes this domain has allocated so far, counted so that it does not
+   move across a garbage collection (unlike [Gc.allocated_bytes] on
+   OCaml 5.1): the difference of two readings is exactly what the code
+   between them allocated, plus the reading's own few words. *)
+val allocated_bytes : unit -> float
+
+(* Bytes-moved telemetry: [allocated_bytes] deltas accumulated around
    each kernel entry point, plus join-build/survivor counts, consumed by
    `bench/main.exe curve --json` and `merlin-cli route --stats`. *)
 val n_joins : int Atomic.t

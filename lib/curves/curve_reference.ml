@@ -7,6 +7,11 @@
 type 'a t = 'a Solution.t list
 (* Invariant: sorted by Solution.compare_key; pairwise non-dominated. *)
 
+let dominates s1 s2 =
+  s1.Solution.load <= s2.Solution.load
+  && s2.Solution.req <= s1.Solution.req
+  && s1.Solution.area <= s2.Solution.area
+
 let empty = []
 
 let size = List.length
@@ -21,7 +26,7 @@ let add c s =
   let rec drop = function
     | [] -> []
     | x :: rest ->
-      if Solution.dominates s x then drop rest else x :: drop rest
+      if dominates s x then drop rest else x :: drop rest
   in
   let rec scan acc = function
     | [] -> List.rev (s :: acc)
@@ -29,7 +34,7 @@ let add c s =
       let cmp = Solution.compare_key x s in
       if cmp = 0 then c
       else if cmp < 0 then
-        if Solution.dominates x s then c else scan (x :: acc) rest
+        if dominates x s then c else scan (x :: acc) rest
       else List.rev_append acc (s :: drop l)
   in
   scan [] c

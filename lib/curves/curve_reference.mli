@@ -6,6 +6,11 @@
 
 type 'a t = 'a Solution.t list
 
+(** [dominates s1 s2] — Definition 6: [s2] is inferior to [s1] iff
+    load(s1) <= load(s2), req(s2) <= req(s1) and area(s1) <= area(s2).
+    A solution dominates itself. *)
+val dominates : 'a Solution.t -> 'a Solution.t -> bool
+
 val empty : 'a t
 
 val size : 'a t -> int

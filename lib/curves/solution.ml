@@ -2,9 +2,6 @@ type 'a t = { req : float; load : float; area : float; data : 'a }
 
 let make ~req ~load ~area data = { req; load; area; data }
 
-let dominates s1 s2 =
-  s1.load <= s2.load && s2.req <= s1.req && s1.area <= s2.area
-
 let compare_key s1 s2 =
   let c = Float.compare s2.req s1.req in
   if c <> 0 then c
@@ -26,6 +23,3 @@ let quantise ~req_grid ~load_grid ~area_grid s =
     req = grid_down req_grid s.req;
     load = grid_up load_grid s.load;
     area = grid_up area_grid s.area }
-
-let pp ppf s =
-  Format.fprintf ppf "(req=%.1f load=%.2f area=%.2f)" s.req s.load s.area

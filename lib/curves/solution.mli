@@ -15,11 +15,6 @@ type 'a t = {
 
 val make : req:float -> load:float -> area:float -> 'a -> 'a t
 
-(** [dominates s1 s2] — Definition 6: [s2] is inferior to [s1] iff
-    load(s1) <= load(s2), req(s2) <= req(s1) and area(s1) <= area(s2).
-    A solution dominates itself. *)
-val dominates : 'a t -> 'a t -> bool
-
 (** Total order used for deterministic curve layout: decreasing required
     time, then increasing load, then increasing area. *)
 val compare_key : 'a t -> 'a t -> int
@@ -31,5 +26,3 @@ val map : ('a -> 'b) -> 'a t -> 'b t
     of 0 leaves that dimension untouched. *)
 val quantise :
   req_grid:float -> load_grid:float -> area_grid:float -> 'a t -> 'a t
-
-val pp : Format.formatter -> 'a t -> unit

@@ -5,18 +5,13 @@ open Merlin_rtree
 open Merlin_curves
 open Merlin_core
 
-let buffer_subset buffers ~trials =
-  let n = Array.length buffers in
-  if n <= trials then buffers
-  else
-    Array.init trials (fun i -> buffers.(i * (n - 1) / (max 1 (trials - 1))))
-
 let curve ~tech ~buffers ?trials ?(max_curve = 16) ?refine_seg tree =
   let subset =
     match trials with
     | None -> buffers
-    | Some trials -> buffer_subset buffers ~trials
+    | Some trials -> Buffer_lib.subset buffers ~trials
   in
+  let nb = Array.length subset in
   let tree =
     match refine_seg with
     | None -> tree
@@ -25,52 +20,81 @@ let curve ~tech ~buffers ?trials ?(max_curve = 16) ?refine_seg tree =
   (* One builder serves every batch of the walk: wire extension, join,
      own buffer and close.  Each batch is built before the next one
      starts, and the recursion into a child finishes before its parent
-     pushes, so clearing and reusing it is safe.  Joins and closes are
-     capped at [max_curve] points. *)
-  let bld = Curve.Builder.create () in
-  let map_build name f c =
+     pushes, so clearing and reusing it is safe.  A batch pushes each
+     candidate's cost from the Build.*_cost_into twins through [cost],
+     under an int code naming the candidate, and its build_map builds
+     trees with the Build.*_data forms only for the points it keeps.
+     Joins and closes are capped at [max_curve] points. *)
+  let bld = Curve.Builder.create () and cost = Curve.Builder.new_cost () in
+  (* One move applied to every solution of [c]: solution i is code i. *)
+  let map_build name cost_into data c =
     Curve.Builder.clear bld;
-    Curve.iter (fun sol -> Curve.Builder.add bld (f sol)) c;
-    Curve.Builder.build ~name bld
+    for i = 0 to Curve.size c - 1 do
+      cost_into cost (Curve.get c i);
+      Curve.Builder.push_cost bld cost i
+    done;
+    Curve.Builder.build_map ~name bld ~f:(fun i -> data (Curve.get c i))
   in
   (* Existing solutions first, buffered candidates second, one batch
      prune — the same tie-resolution as adding each candidate into the
-     existing curve, without the per-candidate frontier rebuilds. *)
+     existing curve, without the per-candidate frontier rebuilds.
+     Solution i is code i, and buffer bi on solution i is n + i * nb +
+     bi. *)
   let close c =
     Curve.Builder.clear bld;
-    Curve.Builder.add_curve bld c;
-    Curve.iter
-      (fun sol ->
-         Array.iter
-           (fun b -> Curve.Builder.add bld (Build.add_root_buffer b sol))
-           subset)
-      c;
-    Curve.Builder.build ~name:"Van_ginneken.close" ~max_size:max_curve bld
+    let n = Curve.size c in
+    for i = 0 to n - 1 do
+      let sol = Curve.get c i in
+      Curve.Builder.push bld ~req:sol.Solution.req ~load:sol.Solution.load
+        ~area:sol.Solution.area i
+    done;
+    for i = 0 to n - 1 do
+      let sol = Curve.get c i in
+      for bi = 0 to nb - 1 do
+        Build.add_root_buffer_cost_into cost subset.(bi) sol;
+        Curve.Builder.push_cost bld cost (n + (i * nb) + bi)
+      done
+    done;
+    Curve.Builder.build_map ~name:"Van_ginneken.close" ~max_size:max_curve bld
+      ~f:(fun code ->
+          if code < n then (Curve.get c code).Solution.data
+          else begin
+            let t = code - n in
+            Build.add_root_buffer_data subset.(t mod nb) (Curve.get c (t / nb))
+          end)
   in
   let rec walk = function
     | Rtree.Leaf s ->
       close (Curve.singleton (Build.of_sink s))
     | Rtree.Node n ->
+      let loc = n.Rtree.loc in
       let child_curve child =
         map_build "Van_ginneken.wire"
-          (Build.extend_wire tech ~to_:n.Rtree.loc)
+          (fun cost sol -> Build.extend_wire_cost_into cost tech ~to_:loc sol)
+          (Build.extend_wire_data ~to_:loc)
           (walk child)
       in
+      (* Pair (a, b) of a at ia and b at ib is code ia * |c| + ib. *)
       let join2 acc child =
         let c = child_curve child in
         match acc with
         | None -> Some c
         | Some acc ->
           Curve.Builder.clear bld;
-          Curve.iter
-            (fun a ->
-               Curve.iter
-                 (fun b -> Curve.Builder.add bld (Build.join n.Rtree.loc a b))
-                 c)
-            acc;
+          let nr = Curve.size c in
+          for ia = 0 to Curve.size acc - 1 do
+            let a = Curve.get acc ia in
+            for ib = 0 to nr - 1 do
+              Build.join_cost_into cost a (Curve.get c ib);
+              Curve.Builder.push_cost bld cost ((ia * nr) + ib)
+            done
+          done;
           Some
-            (Curve.Builder.build ~name:"Van_ginneken.join" ~max_size:max_curve
-               bld)
+            (Curve.Builder.build_map ~name:"Van_ginneken.join"
+               ~max_size:max_curve bld ~f:(fun code ->
+                   Build.join_data loc
+                     (Curve.get acc (code / nr))
+                     (Curve.get c (code mod nr))))
       in
       let joined =
         match List.fold_left join2 None n.Rtree.children with
@@ -82,7 +106,9 @@ let curve ~tech ~buffers ?trials ?(max_curve = 16) ?refine_seg tree =
         match n.Rtree.buffer with
         | None -> joined
         | Some b ->
-          map_build "Van_ginneken.own_buffer" (Build.add_root_buffer b) joined
+          map_build "Van_ginneken.own_buffer"
+            (fun cost sol -> Build.add_root_buffer_cost_into cost b sol)
+            (Build.add_root_buffer_data b) joined
       in
       close with_own_buffer
   in

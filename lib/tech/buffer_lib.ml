@@ -35,6 +35,11 @@ let synthetic ~n =
 
 let default = synthetic ~n:34
 
+let subset lib ~trials =
+  let n = Array.length lib in
+  if n <= trials then lib
+  else Array.init trials (fun i -> lib.(i * (n - 1) / max 1 (trials - 1)))
+
 let weakest lib =
   if Array.length lib = 0 then invalid_arg "Buffer_lib.weakest: empty library";
   Array.fold_left (fun acc b -> if b.input_cap < acc.input_cap then b else acc)

@@ -26,6 +26,12 @@ val default : t
     Raises [Invalid_argument] if [n < 1]. *)
 val synthetic : n:int -> t
 
+(** [subset lib ~trials] is an evenly spaced subset of [trials] buffers
+    of [lib] in library order, or [lib] itself when it holds no more:
+    the buffers the DPs try at each root.  The library is a graded
+    single-parameter family, so a spread of strengths loses little. *)
+val subset : t -> trials:int -> t
+
 (** Smallest-input-cap buffer of a library (used as a unit inverter
     stand-in).  Raises [Invalid_argument] on an empty library. *)
 val weakest : t -> buffer

@@ -394,21 +394,20 @@ let counted f =
    Atomic.get Star_ptree.n_join_filtered - filtered)
 
 (* The filtered join batch builds the same curve as pushing every pair
-   of every split: 1-3 splits into one builder, capped or not. *)
+   of every split: 1-3 splits into one builder, capped or not, each pair
+   named by its offset in the batch's product, as the kernel names it. *)
 let prop_join_prefilter seed =
   let rng = Random.State.make [| seed |] in
   let quant = prefilter_grids.(Random.State.int rng 5) in
   let flat = Random.State.int rng 3 = 0 and lattice = Random.State.bool rng in
-  let next = ref 0 in
-  let curve () =
-    random_curve rng ~flat ~lattice quant (fun _ -> incr next; !next)
-  in
+  let curve () = random_curve rng ~flat ~lattice quant Fun.id in
   let splits = List.init (1 + Random.State.int rng 3) (fun _ -> (curve (), curve ())) in
   let max_size =
     if Random.State.bool rng then None else Some (2 + Random.State.int rng 8)
   in
   let cost = Curve.Builder.new_cost () in
   let reference = Curve.Builder.create () in
+  let code = ref 0 in
   List.iter
     (fun (left, right) ->
        Curve.iter
@@ -418,7 +417,8 @@ let prop_join_prefilter seed =
                  Build.join_cost_into cost a b;
                  push_quantised reference quant ~req:cost.Curve.Builder.creq
                    ~load:cost.Curve.Builder.cload ~area:cost.Curve.Builder.carea
-                   (a.Solution.data, b.Solution.data))
+                   !code;
+                 incr code)
               right)
          left)
     splits;
@@ -426,23 +426,18 @@ let prop_join_prefilter seed =
   let bld = Curve.Builder.create () in
   let adds, filtered =
     counted (fun () ->
-        List.iter
-          (fun (left, right) ->
-             Star_ptree.join_product prefilter_scratch ~quant bld left right)
-          splits)
+        ignore
+          (List.fold_left
+             (fun base (left, right) ->
+                Star_ptree.join_product prefilter_scratch ~quant bld ~base left
+                  right;
+                base + (Curve.size left * Curve.size right))
+             0 splits))
   in
-  let got =
-    Curve.Builder.build_map ?max_size bld ~f:(fun (a, b) ->
-        (a.Solution.data, b.Solution.data))
-  in
-  same_points
-    (fun (a, b) (c, d) -> Int.equal a c && Int.equal b d)
-    expected got
+  let got = Curve.Builder.build ?max_size bld in
+  same_points Int.equal expected got
   && Int.equal (Curve.Builder.kept reference) (Curve.Builder.kept bld)
-  && Int.equal (adds + filtered)
-       (List.fold_left
-          (fun n (l, r) -> n + (Curve.size l * Curve.size r))
-          0 splits)
+  && Int.equal (adds + filtered) !code
 
 (* On flat curves with exact sums the filter leaves van Ginneken's
    merge: for each point of one operand, at most one partner of the
@@ -456,13 +451,14 @@ let prop_join_prefilter_flat seed =
   let bld = Curve.Builder.create () in
   let adds, _ =
     counted (fun () ->
-        Star_ptree.join_product prefilter_scratch ~quant bld left right)
+        Star_ptree.join_product prefilter_scratch ~quant bld ~base:0 left right)
   in
   adds <= Curve.size left + Curve.size right
 
 (* The filtered buffer closure builds the same curve as pushing every
    trial: curves mixing buffered and open roots, subsets of 0-8
-   buffers. *)
+   buffers, each candidate named as the kernel names it (solution i by
+   i, buffer bi on the oi-th open root by n + oi * |subset| + bi). *)
 let prop_close_prefilter seed =
   let rng = Random.State.make [| seed |] in
   let quant = prefilter_grids.(Random.State.int rng 5) in
@@ -484,41 +480,82 @@ let prop_close_prefilter seed =
         else s.Solution.data)
   in
   let max_size = 2 + Random.State.int rng 8 in
+  let n = Curve.size curve and nb = Array.length subset in
   let reference = Curve.Builder.create () in
-  Curve.iter
-    (fun s -> Curve.Builder.add reference (Solution.map (fun d -> Star_ptree.Kept d) s))
-    curve;
+  List.iteri
+    (fun i s -> Curve.Builder.add reference (Solution.map (fun _ -> i) s))
+    (Curve.to_list curve);
+  let n_open = ref 0 in
   Curve.iter
     (fun s ->
        match s.Solution.data.Build.tree with
        | Rtree.Node { buffer = Some _; _ } -> ()
        | Rtree.Leaf _ | Rtree.Node { buffer = None; _ } ->
-         Array.iter
-           (fun b ->
+         Array.iteri
+           (fun bi b ->
               let t = Build.add_root_buffer b s in
               push_quantised reference quant ~req:t.Solution.req
                 ~load:t.Solution.load ~area:t.Solution.area
-                (Star_ptree.Buffered (b, s)))
-           subset)
+                (n + (!n_open * nb) + bi))
+           subset;
+         incr n_open)
     curve;
   let expected = Curve.Builder.build ~max_size reference in
   let bld = Curve.Builder.create () in
   Star_ptree.close_product prefilter_scratch ~quant ~subset bld curve;
   let got = Curve.Builder.build ~max_size bld in
-  let sink (d : Build.t) =
-    match d.Build.members with [ Catree.Direct id ] -> id | _ -> -1
-  in
-  let same x y =
-    match (x, y) with
-    | Star_ptree.Kept d, Star_ptree.Kept e -> Int.equal (sink d) (sink e)
-    | Star_ptree.Buffered (b, s), Star_ptree.Buffered (c, t) ->
-      String.equal b.Buffer_lib.name c.Buffer_lib.name
-      && Int.equal (sink s.Solution.data) (sink t.Solution.data)
-    | Star_ptree.Kept _, Star_ptree.Buffered _
-    | Star_ptree.Buffered _, Star_ptree.Kept _ -> false
-  in
-  same_points same expected got
+  same_points Int.equal expected got
   && Int.equal (Curve.Builder.kept reference) (Curve.Builder.kept bld)
+
+(* The kernel's byte windows are additive: the allocation counter reads
+   a window's allocation (here live pairs, so the minor collections
+   inside it promote) and does not move across a bare collection. *)
+let test_allocated_bytes_additive () =
+  let n = 100_000 and keep = ref [] in
+  let before = Star_ptree.allocated_bytes () in
+  for i = 1 to n do
+    keep := (i, i) :: !keep
+  done;
+  let mid = Star_ptree.allocated_bytes () in
+  Gc.minor ();
+  let after = Star_ptree.allocated_bytes () in
+  let pairs = float_of_int (n * 6 * (Sys.word_size / 8)) in
+  ignore (Sys.opaque_identity !keep);
+  Alcotest.(check bool) "window reads its allocation" true
+    (mid -. before >= pairs && mid -. before <= pairs +. 1024.0);
+  Alcotest.(check bool) "still across Gc.minor" true (after -. mid <= 1024.0)
+
+(* Exact mode: a cap no curve reaches, then the widest one, max_int.
+   The routes are the same down to the trees, so no candidate code
+   depends on the cap's magnitude. *)
+let test_exact_mode_max_int () =
+  let net = mk_net 5 11 in
+  let route max_curve =
+    let cfg = { tiny_cfg with Config.max_curve; max_iters = 2 } in
+    Option.get (Merlin.run ~cfg ~tech ~buffers net)
+  in
+  let wide = route 4096 and widest = route max_int in
+  let bits s =
+    List.map Int64.bits_of_float
+      [ s.Solution.req; s.Solution.load; s.Solution.area ]
+  in
+  let hierarchy o = Format.asprintf "%a" Catree.pp o.Merlin.hierarchy in
+  Alcotest.(check bool) "wider than the capped runs" true
+    (Curve.size widest.Merlin.curve > tiny_cfg.Config.max_curve);
+  Alcotest.(check bool) "the cap never binds" true
+    (Curve.size widest.Merlin.curve < 4096);
+  Alcotest.(check bool) "same curve, trees and order" true
+    (List.equal
+       (fun (s : Build.t Solution.t) t ->
+          List.equal Int64.equal (bits s) (bits t)
+          && rtree_equal s.Solution.data.Build.tree t.Solution.data.Build.tree
+          && List.equal member_equal s.Solution.data.Build.members
+               t.Solution.data.Build.members)
+       (Curve.to_list wide.Merlin.curve)
+       (Curve.to_list widest.Merlin.curve));
+  Alcotest.(check bool) "same route" true
+    (rtree_equal wide.Merlin.tree widest.Merlin.tree
+     && String.equal (hierarchy wide) (hierarchy widest))
 
 (* ---------- Bubble_construct ---------- *)
 
@@ -726,6 +763,10 @@ let suite =
       QCheck_alcotest.to_alcotest
         (QCheck.Test.make ~name:"close pre-filter = unfiltered closure build"
            ~count:2000 QCheck.(int_bound 1_000_000) prop_close_prefilter);
+      Alcotest.test_case "star byte windows are additive" `Quick
+        test_allocated_bytes_additive;
+      Alcotest.test_case "exact mode: max_curve = max_int" `Quick
+        test_exact_mode_max_int;
       Alcotest.test_case "bubble: validity, Lemma 5, C-alpha" `Slow
         test_bubble_valid_and_in_neighborhood;
       Alcotest.test_case "bubble: pessimistic quantisation" `Quick

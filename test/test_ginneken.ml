@@ -74,11 +74,166 @@ let test_trials_subset_not_better () =
   Alcotest.(check bool) "full library at least as good (within pruning)" true
     (e_full.Eval.root_req >= e_coarse.Eval.root_req -. margin)
 
+(* The walk that builds every candidate's solution and tree before it
+   prunes, kept as the reference for [VG.curve], which pushes costs and
+   builds trees only for the points a batch keeps: the same batches in
+   the same push order, so the same curves down to trees and order. *)
+let reference_curve ~tech ~buffers ?trials ?(max_curve = 16) ?refine_seg tree =
+  let module Build = Merlin_core.Build in
+  let subset =
+    match trials with
+    | None -> buffers
+    | Some trials -> Buffer_lib.subset buffers ~trials
+  in
+  let tree =
+    match refine_seg with
+    | None -> tree
+    | Some max_seg -> Rtree.refine ~max_seg tree
+  in
+  let bld = Curve.Builder.create () in
+  let map_build f c =
+    Curve.Builder.clear bld;
+    Curve.iter (fun sol -> Curve.Builder.add bld (f sol)) c;
+    Curve.Builder.build bld
+  in
+  let close c =
+    Curve.Builder.clear bld;
+    Curve.Builder.add_curve bld c;
+    Curve.iter
+      (fun sol ->
+         Array.iter
+           (fun b -> Curve.Builder.add bld (Build.add_root_buffer b sol))
+           subset)
+      c;
+    Curve.Builder.build ~max_size:max_curve bld
+  in
+  let rec walk = function
+    | Rtree.Leaf s -> close (Curve.singleton (Build.of_sink s))
+    | Rtree.Node n ->
+      let child_curve child =
+        map_build (Build.extend_wire tech ~to_:n.Rtree.loc) (walk child)
+      in
+      let join2 acc child =
+        let c = child_curve child in
+        match acc with
+        | None -> Some c
+        | Some acc ->
+          Curve.Builder.clear bld;
+          Curve.iter
+            (fun a ->
+               Curve.iter
+                 (fun b -> Curve.Builder.add bld (Build.join n.Rtree.loc a b))
+                 c)
+            acc;
+          Some (Curve.Builder.build ~max_size:max_curve bld)
+      in
+      let joined =
+        match List.fold_left join2 None n.Rtree.children with
+        | Some c -> c
+        | None -> assert false
+      in
+      let with_own_buffer =
+        match n.Rtree.buffer with
+        | None -> joined
+        | Some b -> map_build (Build.add_root_buffer b) joined
+      in
+      close with_own_buffer
+  in
+  walk tree
+
+(* A random tree over [net]'s sinks, rooted at the source: each level
+   cuts its sinks into 1-3 runs, each run under a node at a random point
+   of its bounding box (one in four holding a buffer of its own) or, for
+   a single sink, sometimes the bare leaf; three levels deep at most. *)
+let random_tree rng net =
+  let rec groups depth sinks =
+    let n = List.length sinks in
+    if depth >= 3 then List.map Rtree.leaf sinks
+    else begin
+      let k = 1 + Random.State.int rng (min 3 n) in
+      (* k - 1 distinct cut points in 1 .. n - 1, ascending. *)
+      let cuts =
+        List.init (n - 1) (fun i -> (Random.State.bits rng, i + 1))
+        |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+        |> List.filteri (fun i _ -> i < k - 1)
+        |> List.map snd
+        |> List.sort Int.compare
+      in
+      let rec runs start cuts rest =
+        match cuts with
+        | [] -> [ rest ]
+        | c :: cuts ->
+          List.filteri (fun i _ -> i < c - start) rest
+          :: runs c cuts (List.filteri (fun i _ -> i >= c - start) rest)
+      in
+      List.map (subtree (depth + 1)) (runs 0 cuts sinks)
+    end
+  and subtree depth = function
+    | [ s ] when Random.State.bool rng -> Rtree.leaf s
+    | sinks ->
+      let box = Rect.bounding_box (List.map (fun s -> s.Sink.pt) sinks) in
+      let coord lo hi = lo + Random.State.int rng (hi - lo + 1) in
+      let loc =
+        Point.make
+          (coord box.Rect.lo.Point.x box.Rect.hi.Point.x)
+          (coord box.Rect.lo.Point.y box.Rect.hi.Point.y)
+      in
+      let buffer =
+        if Random.State.int rng 4 = 0 then
+          Some buffers.(Random.State.int rng (Array.length buffers))
+        else None
+      in
+      Rtree.node ?buffer loc (groups depth sinks)
+  in
+  Rtree.node net.Net.source (groups 0 (Array.to_list net.Net.sinks))
+
+(* Bitwise coordinates, equal trees and member lists (sinks by id,
+   buffers by name), in the same order. *)
+let same_curves x y =
+  let bits = Int64.bits_of_float in
+  Curve.size x = Curve.size y
+  && List.for_all2
+       (fun (s : Merlin_core.Build.t Solution.t) t ->
+          Int64.equal (bits s.Solution.req) (bits t.Solution.req)
+          && Int64.equal (bits s.Solution.load) (bits t.Solution.load)
+          && Int64.equal (bits s.Solution.area) (bits t.Solution.area)
+          && Test_core.rtree_equal s.Solution.data.Merlin_core.Build.tree
+               t.Solution.data.Merlin_core.Build.tree
+          && List.equal Test_core.member_equal
+               s.Solution.data.Merlin_core.Build.members
+               t.Solution.data.Merlin_core.Build.members)
+       (Curve.to_list x) (Curve.to_list y)
+
+(* Random trees of 1-8 sinks, the whole library or 0-6 trials, small,
+   default and wide caps, with and without refinement. *)
+let prop_curve_equals_reference seed =
+  let rng = Random.State.make [| seed |] in
+  let net = mk_net (1 + Random.State.int rng 8) seed in
+  let tree = random_tree rng net in
+  let trials =
+    if Random.State.bool rng then None else Some (Random.State.int rng 7)
+  in
+  let max_curve =
+    match Random.State.int rng 3 with
+    | 0 -> None
+    | 1 -> Some (2 + Random.State.int rng 4)
+    | _ -> Some (8 + Random.State.int rng 40)
+  in
+  let refine_seg =
+    if Random.State.bool rng then None
+    else Some (100 + Random.State.int rng 700)
+  in
+  same_curves
+    (VG.curve ~tech ~buffers ?trials ?max_curve ?refine_seg tree)
+    (reference_curve ~tech ~buffers ?trials ?max_curve ?refine_seg tree)
+
 let qtest name ?(count = 25) arb prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~name ~count arb prop)
 
 let props =
-  [ qtest "insert keeps validity" QCheck.(pair (int_range 1 8) (int_range 0 300))
+  [ qtest "curve = reference walk that builds every candidate" ~count:200
+      QCheck.(int_range 0 100_000) prop_curve_equals_reference;
+    qtest "insert keeps validity" QCheck.(pair (int_range 1 8) (int_range 0 300))
       (fun (n, seed) ->
          let net = mk_net n seed in
          Check.is_valid net (VG.insert ~tech ~buffers net (star net)));
