@@ -1,5 +1,4 @@
 open Merlin_geometry
-open Merlin_tech
 open Merlin_net
 open Merlin_curves
 open Merlin_order
@@ -69,22 +68,14 @@ let construct ?candidates ~cfg ~tech ~buffers (net : Net.t) order =
       else Array.append [| net.Net.source |] given
   in
   let k = Array.length candidates in
-  let source_index =
-    (* The source is a net terminal, hence always in the candidate set. *)
-    let rec find p =
-      if p >= k then 0
-      else if Point.equal candidates.(p) net.Net.source then p
-      else find (p + 1)
-    in
-    find 0
-  in
-  (* Convention shared with Star_ptree: the source is the first active. *)
+  (* The source comes first (see Star_ptree.source_first); a candidate
+     limit below the terminal count can leave it out, and then the
+     candidates keep their order. *)
   let all_active =
-    Array.init k (fun i ->
-        if i = 0 then source_index
-        else if i <= source_index then i - 1
-        else i)
+    Option.value ~default:(Array.init k Fun.id)
+      (Star_ptree.source_first candidates net.Net.source)
   in
+  let source_index = all_active.(0) in
   let merges = ref 0 in
   (* One *PTREE context per construction: every merge shares its cells
      (DESIGN.md §9 "Cell memo").  Never shared across constructions, so
@@ -151,12 +142,11 @@ let construct ?candidates ~cfg ~tech ~buffers (net : Net.t) order =
   (* Candidates offered to a merge: those inside the covered sinks' bounding
      box inflated by the configured slack, plus the source. *)
   let active_for covered_positions =
-    let pts = List.map (fun pos -> (sink_at pos).Sink.pt) covered_positions in
-    let box = Rect.bounding_box pts in
-    let margin =
-      1 + int_of_float (cfg.Config.bbox_slack *. float_of_int (Rect.half_perimeter box))
+    let box =
+      Rect.inflate_by_slack cfg.Config.bbox_slack
+        (Rect.bounding_box
+           (List.map (fun pos -> (sink_at pos).Sink.pt) covered_positions))
     in
-    let box = Rect.inflate box margin in
     let inside = ref [] in
     for p = k - 1 downto 0 do
       if p <> source_index && Rect.contains box candidates.(p) then
@@ -380,19 +370,6 @@ let construct ?candidates ~cfg ~tech ~buffers (net : Net.t) order =
   let final =
     match gamma_find n Grouping.Chi0 (n - 1) with
     | None -> Curve.empty
-    | Some top ->
-      let bld = Curve.Builder.create () in
-      Array.iter
-        (Curve.iter (fun sol ->
-           let at_source = Build.extend_wire tech ~to_:net.Net.source sol in
-           let gate =
-             Delay_model.delay net.Net.driver ~load:at_source.Solution.load
-           in
-           Curve.Builder.push bld
-             ~req:(at_source.Solution.req -. gate)
-             ~load:at_source.Solution.load ~area:at_source.Solution.area
-             at_source.Solution.data))
-        top;
-      Curve.Builder.build ~name:"Bubble_construct.to_driver" bld
+    | Some top -> Batch.to_driver ~tech net top
   in
   { curve = final; candidates; merges = !merges }

@@ -51,6 +51,12 @@ val context :
   unit ->
   context
 
+(** [source_first candidates source] is every candidate index, the
+    source's first and the others in their order: the [active] order
+    {!run_in} expects, since every cell keeps its first active so that it
+    can route toward the driver.  [None] if [source] is not a candidate. *)
+val source_first : Point.t array -> Point.t -> int array option
+
 (** An already-built sub-group: one curve per candidate index, each
     solution rooted at that candidate, with an identity unique in the
     process. *)
@@ -87,39 +93,9 @@ val run_in :
   context -> active:int array -> terminals:terminal array -> Build.t Curve.t array
 
 (**/**)
-(* One batch's product loops, exposed so the filtered = unfiltered
-   oracle in test/test_core.ml can drive them without a whole run.
-   [join_product s ~quant bld ~base left right] pushes one split's join
-   pairs into [bld], the pair of [left] at ia and [right] at ib under
-   the code [base + ia * size right + ib]; [close_product s ~quant
-   ~subset bld curve] pushes the buffer closure of [curve], solution i
-   under the code i and the trial of [subset.(bi)] on the oi-th root of
-   [curve] without a buffer under [size curve + oi * size subset + bi].
-   Both leave out only candidates the build provably drops (DESIGN.md
-   §9 "Exact candidate pre-filters"), and neither clears [bld]. *)
-type scratch
-
-val new_scratch : unit -> scratch
-
-val join_product :
-  scratch ->
-  quant:float * float * float ->
-  int Curve.Builder.b ->
-  base:int ->
-  'a Curve.t ->
-  'a Curve.t ->
-  unit
-
-val close_product :
-  scratch ->
-  quant:float * float * float ->
-  subset:Buffer_lib.t ->
-  int Curve.Builder.b ->
-  Build.t Curve.t ->
-  unit
-
 (* Operation counters: they count computed work only, so a memoised
-   cell adds nothing.  [n_runs] counts {!run_in} calls;
+   cell adds nothing, and only {!run_in} moves them ({!Batch} hands
+   back its counts).  [n_runs] counts {!run_in} calls;
    every computed cell is held by its context until {!drop}, which adds
    the cells it drops to [n_dropped]. *)
 val n_runs : int Atomic.t

@@ -26,3 +26,6 @@ let contains r p =
 let inflate r margin =
   { lo = Point.make (r.lo.Point.x - margin) (r.lo.Point.y - margin);
     hi = Point.make (r.hi.Point.x + margin) (r.hi.Point.y + margin) }
+
+let inflate_by_slack slack r =
+  inflate r (1 + int_of_float (slack *. float_of_int (half_perimeter r)))

@@ -19,3 +19,8 @@ val contains : t -> Point.t -> bool
 
 (** [inflate r margin] grows the rectangle by [margin] on every side. *)
 val inflate : t -> int -> t
+
+(** [inflate_by_slack slack r] grows [r] on every side by one plus
+    [slack] times its half perimeter, rounded down: the box a \*PTREE
+    cell or a MERLIN merge offers candidates in. *)
+val inflate_by_slack : float -> t -> t

@@ -334,13 +334,14 @@ let prefilter_grids =
   [| (0.0, 0.0, 0.0); (0.5, 0.25, 0.5); (10.0, 10.0, 8.0);
      (50.0, 40.0, 30.0); (200.0, 100.0, 60.0) |]
 
-(* A random curve of width 1-12: up to 24 points pruned and capped by
-   the builder, so it is a real frontier.  Required time grows with load
-   (plus noise) so frontiers come out wide; [flat] curves have area 0
-   (PTREE's regime); [lattice] coordinates are small multiples, so sums
+(* A random curve of width 1-[width]: up to 24 points pruned and capped
+   by the builder, so it is a real frontier.  Required time grows with
+   load (plus noise) so frontiers come out wide; [flat] curves have area
+   0 (PTREE's regime); [lattice] coordinates are small multiples, so sums
    tie exactly; and half the curves sit on the push grid already, as the
    DP's curves do. *)
-let random_curve rng ~flat ~lattice (req_grid, load_grid, area_grid) data =
+let random_curve rng ~width ~flat ~lattice (req_grid, load_grid, area_grid)
+    data =
   let bld = Curve.Builder.create () in
   let draw hi =
     if lattice then Float.of_int (Random.State.int rng 20) *. hi /. 20.0
@@ -359,19 +360,20 @@ let random_curve rng ~flat ~lattice (req_grid, load_grid, area_grid) data =
     in
     Curve.Builder.add bld s
   done;
-  Curve.Builder.build ~max_size:12 bld
+  Curve.Builder.build ~max_size:width bld
 
-(* Bitwise coordinates, equal payloads (under [same]) in the same
-   order. *)
-let same_points same x y =
+(* Bitwise coordinates, equal trees and members, in the same order. *)
+let same_points x y =
   let bits = Int64.bits_of_float in
   Curve.size x = Curve.size y
   && List.for_all2
-       (fun (s : _ Solution.t) (t : _ Solution.t) ->
+       (fun (s : Build.sol) (t : Build.sol) ->
           Int64.equal (bits s.Solution.req) (bits t.Solution.req)
           && Int64.equal (bits s.Solution.load) (bits t.Solution.load)
           && Int64.equal (bits s.Solution.area) (bits t.Solution.area)
-          && same s.Solution.data t.Solution.data)
+          && rtree_equal s.Solution.data.Build.tree t.Solution.data.Build.tree
+          && List.equal member_equal s.Solution.data.Build.members
+               t.Solution.data.Build.members)
        (Curve.to_list x) (Curve.to_list y)
 
 let push_quantised bld (req_grid, load_grid, area_grid) ~req ~load ~area data =
@@ -382,32 +384,35 @@ let push_quantised bld (req_grid, load_grid, area_grid) ~req ~load ~area data =
   Curve.Builder.push bld ~req:q.Solution.req ~load:q.Solution.load
     ~area:q.Solution.area data
 
-(* One scratch for every case, as a context shares one across its
-   runs: it only grows. *)
-let prefilter_scratch = Star_ptree.new_scratch ()
-
-let counted f =
-  let adds = Atomic.get Star_ptree.n_join_adds
-  and filtered = Atomic.get Star_ptree.n_join_filtered in
-  f ();
-  (Atomic.get Star_ptree.n_join_adds - adds,
-   Atomic.get Star_ptree.n_join_filtered - filtered)
+(* The payload of point [i] of join operand [tag]: a sink of [net]
+   wired to [root], where every pair can join, and a member unique to
+   the operand and point, so a pair decoded from the wrong split or
+   index shows. *)
+let operand_data net root tag i =
+  { (Build.extend_wire tech ~to_:root (Build.of_sink (Net.sink net i)))
+    .Solution.data
+    with Build.members = [ Catree.Direct ((100 * tag) + i) ] }
 
 (* The filtered join batch builds the same curve as pushing every pair
-   of every split: 1-3 splits into one builder, capped or not, each pair
-   named by its offset in the batch's product, as the kernel names it. *)
+   of every split: 1-3 splits into one batch, capped or not. *)
 let prop_join_prefilter seed =
   let rng = Random.State.make [| seed |] in
   let quant = prefilter_grids.(Random.State.int rng 5) in
   let flat = Random.State.int rng 3 = 0 and lattice = Random.State.bool rng in
-  let curve () = random_curve rng ~flat ~lattice quant Fun.id in
-  let splits = List.init (1 + Random.State.int rng 3) (fun _ -> (curve (), curve ())) in
-  let max_size =
-    if Random.State.bool rng then None else Some (2 + Random.State.int rng 8)
+  let net = mk_net 24 seed and root = Point.make 500 500 in
+  let curve tag =
+    random_curve rng ~width:12 ~flat ~lattice quant (operand_data net root tag)
+  in
+  let splits =
+    List.init (1 + Random.State.int rng 3) (fun s ->
+        (curve (2 * s), curve ((2 * s) + 1)))
+  in
+  let max_curve =
+    if Random.State.bool rng then max_int else 2 + Random.State.int rng 8
   in
   let cost = Curve.Builder.new_cost () in
   let reference = Curve.Builder.create () in
-  let code = ref 0 in
+  let product = ref 0 in
   List.iter
     (fun (left, right) ->
        Curve.iter
@@ -417,27 +422,18 @@ let prop_join_prefilter seed =
                  Build.join_cost_into cost a b;
                  push_quantised reference quant ~req:cost.Curve.Builder.creq
                    ~load:cost.Curve.Builder.cload ~area:cost.Curve.Builder.carea
-                   !code;
-                 incr code)
+                   (Build.join_data root a b);
+                 incr product)
               right)
          left)
     splits;
-  let expected = Curve.Builder.build ?max_size reference in
-  let bld = Curve.Builder.create () in
-  let adds, filtered =
-    counted (fun () ->
-        ignore
-          (List.fold_left
-             (fun base (left, right) ->
-                Star_ptree.join_product prefilter_scratch ~quant bld ~base left
-                  right;
-                base + (Curve.size left * Curve.size right))
-             0 splits))
-  in
-  let got = Curve.Builder.build ?max_size bld in
-  same_points Int.equal expected got
-  && Int.equal (Curve.Builder.kept reference) (Curve.Builder.kept bld)
-  && Int.equal (adds + filtered) !code
+  let expected = Curve.Builder.build ~max_size:max_curve reference in
+  let batch = Batch.create ~tech ~subset:[||] ~max_curve ~quant in
+  List.iteri (fun s (left, right) -> Batch.split batch s left right) splits;
+  let got = Batch.join batch root (List.length splits) in
+  same_points expected got
+  && Int.equal (Curve.Builder.kept reference) (Batch.kept batch)
+  && Int.equal (Batch.pushed batch + Batch.filtered batch) !product
 
 (* On flat curves with exact sums the filter leaves van Ginneken's
    merge: for each point of one operand, at most one partner of the
@@ -446,19 +442,20 @@ let prop_join_prefilter seed =
 let prop_join_prefilter_flat seed =
   let rng = Random.State.make [| seed |] in
   let quant = (0.0, 0.0, 0.0) in
-  let left = random_curve rng ~flat:true ~lattice:true quant Fun.id
-  and right = random_curve rng ~flat:true ~lattice:true quant Fun.id in
-  let bld = Curve.Builder.create () in
-  let adds, _ =
-    counted (fun () ->
-        Star_ptree.join_product prefilter_scratch ~quant bld ~base:0 left right)
+  let net = mk_net 24 seed and root = Point.make 500 500 in
+  let curve tag =
+    random_curve rng ~width:12 ~flat:true ~lattice:true quant
+      (operand_data net root tag)
   in
-  adds <= Curve.size left + Curve.size right
+  let left = curve 0 and right = curve 1 in
+  let batch = Batch.create ~tech ~subset:[||] ~max_curve:max_int ~quant in
+  Batch.split batch 0 left right;
+  ignore (Batch.join batch root 1);
+  Batch.pushed batch <= Curve.size left + Curve.size right
 
 (* The filtered buffer closure builds the same curve as pushing every
    trial: curves mixing buffered and open roots, subsets of 0-8
-   buffers, each candidate named as the kernel names it (solution i by
-   i, buffer bi on the oi-th open root by n + oi * |subset| + bi). *)
+   buffers, trials on open roots only or on every root. *)
 let prop_close_prefilter seed =
   let rng = Random.State.make [| seed |] in
   let quant = prefilter_grids.(Random.State.int rng 5) in
@@ -472,40 +469,37 @@ let prop_close_prefilter seed =
     library.(j) <- t
   done;
   let subset = Array.sub library 0 (Random.State.int rng 9) in
+  let rebuffer = Random.State.bool rng in
+  let max_curve = 2 + Random.State.int rng 8 in
   let curve =
-    random_curve rng ~flat ~lattice quant (fun i ->
+    random_curve rng ~width:12 ~flat ~lattice quant (fun i ->
         let s = Build.of_sink (Net.sink net i) in
         if Random.State.int rng 4 = 0 then
           (Build.add_root_buffer buffers.(Random.State.int rng 34) s).Solution.data
         else s.Solution.data)
   in
-  let max_size = 2 + Random.State.int rng 8 in
-  let n = Curve.size curve and nb = Array.length subset in
   let reference = Curve.Builder.create () in
-  List.iteri
-    (fun i s -> Curve.Builder.add reference (Solution.map (fun _ -> i) s))
-    (Curve.to_list curve);
-  let n_open = ref 0 in
+  Curve.Builder.add_curve reference curve;
+  let trials = ref 0 in
   Curve.iter
     (fun s ->
        match s.Solution.data.Build.tree with
-       | Rtree.Node { buffer = Some _; _ } -> ()
-       | Rtree.Leaf _ | Rtree.Node { buffer = None; _ } ->
-         Array.iteri
-           (fun bi b ->
+       | Rtree.Node { buffer = Some _; _ } when not rebuffer -> ()
+       | Rtree.Leaf _ | Rtree.Node _ ->
+         Array.iter
+           (fun b ->
               let t = Build.add_root_buffer b s in
               push_quantised reference quant ~req:t.Solution.req
-                ~load:t.Solution.load ~area:t.Solution.area
-                (n + (!n_open * nb) + bi))
-           subset;
-         incr n_open)
+                ~load:t.Solution.load ~area:t.Solution.area t.Solution.data;
+              incr trials)
+           subset)
     curve;
-  let expected = Curve.Builder.build ~max_size reference in
-  let bld = Curve.Builder.create () in
-  Star_ptree.close_product prefilter_scratch ~quant ~subset bld curve;
-  let got = Curve.Builder.build ~max_size bld in
-  same_points Int.equal expected got
-  && Int.equal (Curve.Builder.kept reference) (Curve.Builder.kept bld)
+  let expected = Curve.Builder.build ~max_size:max_curve reference in
+  let batch = Batch.create ~tech ~subset ~max_curve ~quant in
+  let got = Batch.close batch ~rebuffer curve in
+  same_points expected got
+  && Int.equal (Curve.Builder.kept reference) (Batch.kept batch)
+  && Int.equal (Batch.pushed batch + Batch.filtered batch) !trials
 
 (* The kernel's byte windows are additive: the allocation counter reads
    a window's allocation (here live pairs, so the minor collections

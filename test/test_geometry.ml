@@ -45,6 +45,19 @@ let test_rect_inflate () =
   Alcotest.(check bool) "grown" true (Rect.contains big (Point.make (-3) (-3)));
   Alcotest.(check int) "dims" 8 (Rect.width big)
 
+(* A 10 x 4 box has half perimeter 14: slack 0.25 grows it by
+   1 + floor 3.5 = 4 on every side, slack 0 by the one unit alone. *)
+let test_rect_inflate_by_slack () =
+  let r = Rect.make (Point.make 0 0) (Point.make 10 4) in
+  let wide = Rect.inflate_by_slack 0.25 r in
+  Alcotest.(check bool) "margin 4" true
+    (Point.equal wide.Rect.lo (Point.make (-4) (-4))
+     && Point.equal wide.Rect.hi (Point.make 14 8));
+  let tight = Rect.inflate_by_slack 0.0 r in
+  Alcotest.(check bool) "margin 1" true
+    (Point.equal tight.Rect.lo (Point.make (-1) (-1))
+     && Point.equal tight.Rect.hi (Point.make 11 5))
+
 let test_hanan_small () =
   let pts = [ Point.make 0 0; Point.make 2 3; Point.make 5 1 ] in
   let grid = Hanan.full_grid pts in
@@ -101,6 +114,7 @@ let suite =
       Alcotest.test_case "center of mass" `Quick test_center_of_mass;
       Alcotest.test_case "rect contains" `Quick test_rect_contains;
       Alcotest.test_case "rect inflate" `Quick test_rect_inflate;
+      Alcotest.test_case "rect inflate by slack" `Quick test_rect_inflate_by_slack;
       Alcotest.test_case "hanan 3x3" `Quick test_hanan_small;
       Alcotest.test_case "hanan reduced" `Quick test_hanan_reduced_keeps_terminals ]
     @ props )

@@ -74,6 +74,44 @@ let test_trials_subset_not_better () =
   Alcotest.(check bool) "full library at least as good (within pruning)" true
     (e_full.Eval.root_req >= e_coarse.Eval.root_req -. margin)
 
+(* The driver step is Batch.to_driver, which re-roots every solution at
+   the source before it takes the gate delay off.  A lone sink sitting
+   on the source is the one tree whose root could change under it (a
+   bare leaf gets wrapped): Flow II's tree there is the one van
+   Ginneken's curve ranks best at the driver, gate delay and all. *)
+let test_sink_on_source () =
+  let src = Point.make 300 700 in
+  let s = Sink.make ~id:0 ~pt:src ~cap:40.0 ~req:900.0 in
+  let net = Net.make ~name:"on-source" ~source:src ~driver:Net.default_driver [ s ] in
+  let routed = Merlin_ptree.Ptree.route ~tech net in
+  let bld = Curve.Builder.create () in
+  Curve.iter
+    (fun (sol : Merlin_core.Build.sol) ->
+       let gate = Delay_model.delay net.Net.driver ~load:sol.Solution.load in
+       Curve.Builder.push bld ~req:(sol.Solution.req -. gate)
+         ~load:sol.Solution.load ~area:sol.Solution.area sol.Solution.data)
+    (VG.curve ~tech ~buffers routed);
+  let best = Option.get (Curve.best_req (Curve.Builder.build bld)) in
+  Alcotest.(check bool) "same tree" true
+    (Test_core.rtree_equal best.Solution.data.Merlin_core.Build.tree
+       (VG.insert ~tech ~buffers net routed))
+
+(* Van Ginneken runs its batches through Batch, which moves no *PTREE
+   counter: only Star_ptree.run_in does. *)
+let test_star_counters_untouched () =
+  let module S = Merlin_core.Star_ptree in
+  let counters =
+    [ S.n_runs; S.n_join_adds; S.n_close_adds; S.n_pull_adds; S.n_base_adds;
+      S.n_cells; S.n_pulls; S.n_dropped; S.n_join_filtered;
+      S.n_close_filtered; S.n_joins; S.n_join_survivors; S.bytes_join;
+      S.bytes_close; S.bytes_pull; S.bytes_base ]
+  in
+  let read () = List.map Atomic.get counters in
+  let before = read () in
+  let net = mk_net 8 31 in
+  ignore (VG.curve ~tech ~buffers ~refine_seg:300 (star net));
+  Alcotest.(check (list int)) "counters" before (read ())
+
 (* The walk that builds every candidate's solution and tree before it
    prunes, kept as the reference for [VG.curve], which pushes costs and
    builds trees only for the points a batch keeps: the same batches in
@@ -254,5 +292,9 @@ let suite =
       Alcotest.test_case "unbuffered survives" `Quick test_curve_contains_unbuffered;
       Alcotest.test_case "wirelength preserved" `Quick test_preserves_wirelength;
       Alcotest.test_case "rejects unrooted" `Quick test_rejects_unrooted_tree;
-      Alcotest.test_case "library subset" `Quick test_trials_subset_not_better ]
+      Alcotest.test_case "library subset" `Quick test_trials_subset_not_better;
+      Alcotest.test_case "flow II on a sink at the source" `Quick
+        test_sink_on_source;
+      Alcotest.test_case "star counters untouched" `Quick
+        test_star_counters_untouched ]
     @ props )

@@ -77,6 +77,10 @@ let props =
       (fun (n, seed) ->
          let net = mk_net n seed in
          Check.is_valid net (Ptree.route ~tech net));
+    (* Flow II hands these trees to van Ginneken, so none may hold a
+       buffer of its own. *)
+    qtest "route carries no buffer" QCheck.(pair (int_range 1 12) (int_range 0 300))
+      (fun (n, seed) -> Rtree.n_buffers (Ptree.route ~tech (mk_net n seed)) = 0);
     qtest "wirelength at least bbox half-perimeter of terminals"
       QCheck.(pair (int_range 2 8) (int_range 0 300))
       (fun (n, seed) ->
