@@ -66,7 +66,7 @@ let bag ~rand ~mult s =
 let checksum c =
   let sum = ref 0.0 in
   for i = 0 to Curve.size c - 1 do
-    sum := !sum +. (Curve.get c i).Solution.req
+    sum := !sum +. Float.Array.get c.Curve.req i
   done;
   !sum
 
@@ -123,7 +123,10 @@ let run_adds ~rand ~reps s =
 
 let run_join ~reps f =
   let left = spine f
-  and right = List.map (fun s -> Solution.map (fun d -> -d) s) (spine f) in
+  and right =
+    List.map (fun (s : int Solution.t) -> { s with Solution.data = -s.Solution.data })
+      (spine f)
+  in
   let join (a : int Solution.t) (b : int Solution.t) =
     ( min a.Solution.req b.Solution.req,
       a.Solution.load +. b.Solution.load,

@@ -458,13 +458,27 @@ let hier_table ~opts pool () =
    fill; counted with Star_ptree.allocated_bytes, which does not, the same
    code reads 4.65K, and 2.83K once the kernels pushed int codes instead of
    payload tuples and built trees only for kept points (EXPERIMENTS.md
-   "Index-named candidates").  The --smoke run fails when the measured
-   value exceeds this by more than 25%, so an accidental return to
+   "Index-named candidates"), and 2.12K once curves stored their points
+   as float columns instead of boxed Solution.t records and the window
+   reading stopped allocating (EXPERIMENTS.md "Columnar curves").  The
+   --smoke run fails when the measured value exceeds this by more than
+   25%, so an accidental return to
    per-build scratch, per-candidate boxing, boxed payloads or materialising
    points the cap drops cannot land silently.  Recalibrate (with the
    measured value from a quiet machine, recorded in EXPERIMENTS.md) when
    the kernel deliberately changes. *)
-let alloc_budget_bytes_per_join = 2833.0
+let alloc_budget_bytes_per_join = 2117.0
+
+(* Committed allocation budget for the buffer closures of the same rows:
+   bytes allocated inside Star_ptree's closure windows per computed
+   cell.  Closures once cost more bytes than joins on the larger routes
+   with no budget of their own: the n=10 row measured 40.9K per cell
+   before curves became columns and the closure's trial costs stopped
+   boxing the load they read and the delay they computed, and 14.3K
+   after (EXPERIMENTS.md "Columnar curves").  The --smoke run fails
+   above budget x1.25, so a closure that boxes per trial or materialises
+   dropped points again cannot land silently. *)
+let alloc_budget_bytes_close_per_cell = 14321.0
 
 (* Committed work budget for the same rows: *PTREE cells computed per
    merge, i.e. per *PTREE run.  Cells memoised by a construction's context
@@ -577,8 +591,8 @@ let curve_table ~opts () =
   in
   let header =
     [ "row"; "req (ps)"; "area"; "rt(s)";
-      "joins"; "adds/join"; "filt/join"; "B/join"; "front/join";
-      "cells/merge" ]
+      "joins"; "adds/join"; "filt/join"; "B/join"; "close B/cell";
+      "front/join"; "cells/merge" ]
   in
   let (rows, lttree_bytes), wall_s =
     Clock.timed (fun () ->
@@ -600,6 +614,7 @@ let curve_table ~opts () =
            F (per d.k_joins d.k_join_adds);
            F (per d.k_joins d.k_join_filtered);
            F (per d.k_joins d.k_bytes_join);
+           F (per d.k_cells d.k_bytes_close);
            F (per d.k_joins d.k_join_survivors);
            F (per d.k_runs d.k_cells) ])
       rows
@@ -624,6 +639,7 @@ let curve_table ~opts () =
              ("bytes_pull", ji d.k_bytes_pull);
              ("bytes_base", ji d.k_bytes_base);
              ("bytes_per_join", jf (per d.k_joins d.k_bytes_join));
+             ("bytes_close_per_cell", jf (per d.k_cells d.k_bytes_close));
              ("frontier_per_join", jf (per d.k_joins d.k_join_survivors));
              ("merges", ji d.k_runs); ("cells", ji d.k_cells);
              ("cells_per_merge", jf (per d.k_runs d.k_cells)) ])
@@ -634,6 +650,8 @@ let curve_table ~opts () =
      @ [ Json.Obj [ ("row", js "lttree"); ("lttree_bytes", jf lttree_bytes) ];
          Json.Obj [ ("row", js "budget");
                     ("bytes_per_join_budget", jf alloc_budget_bytes_per_join);
+                    ("bytes_close_per_cell_budget",
+                     jf alloc_budget_bytes_close_per_cell);
                     ("cells_per_merge_budget", jf cells_budget_per_merge);
                     ("lttree_budget_bytes", jf lttree_budget_bytes) ] ]);
   (* The emitter must keep producing documents the repo's own JSON layer
@@ -669,6 +687,13 @@ let curve_table ~opts () =
                 "Bench.curve_table: %s allocates %.0f bytes/join, over \
                  budget %.0f x1.25 — the zero-allocation kernel regressed"
                 label bpj alloc_budget_bytes_per_join);
+         let bpc = per d.k_cells d.k_bytes_close in
+         if bpc > alloc_budget_bytes_close_per_cell *. 1.25 then
+           failwith
+             (Printf.sprintf
+                "Bench.curve_table: %s allocates %.0f closure bytes/cell, \
+                 over budget %.0f x1.25 — the buffer closure regressed"
+                label bpc alloc_budget_bytes_close_per_cell);
          let cpm = per d.k_runs d.k_cells in
          if cpm > cells_budget_per_merge *. 1.25 then
            failwith

@@ -2,19 +2,6 @@ open Merlin_tech
 open Merlin_net
 open Merlin_curves
 
-(* One join operand's coordinates, read once per split, and dom (see
-   [load_columns]); grow-only. *)
-type columns = {
-  mutable req : floatarray;
-  mutable load : floatarray;
-  mutable area : floatarray;
-  mutable dom : int array;
-}
-
-let new_columns () =
-  { req = Float.Array.create 0; load = Float.Array.create 0;
-    area = Float.Array.create 0; dom = [||] }
-
 (* [bld] is the one builder of every batch, and it owns its
    sort/staircase/selection scratch (see Curve.Builder); a cleared
    builder is observationally a fresh one.  Each batch's build_map
@@ -33,8 +20,8 @@ type t = {
   mutable lefts : Build.t Curve.t array;
   mutable rights : Build.t Curve.t array;
   mutable bases : int array;
-  left_cols : columns;
-  right_cols : columns;
+  mutable left_dom : int array;
+  mutable right_dom : int array;
   mutable open_ix : int array;
   mutable trial_req : floatarray;
   mutable trial_load : floatarray;
@@ -51,8 +38,8 @@ let create ~tech ~subset ~max_curve ~quant =
     lefts = [||];
     rights = [||];
     bases = [||];
-    left_cols = new_columns ();
-    right_cols = new_columns ();
+    left_dom = [||];
+    right_dom = [||];
     open_ix = [||];
     trial_req = Float.Array.create 0;
     trial_load = Float.Array.create 0;
@@ -111,7 +98,7 @@ let extend_with ~name ~driver b root curves =
     let c = curves.(s) in
     bases.(s) <- !code;
     for i = 0 to Curve.size c - 1 do
-      Build.extend_wire_cost_into cost b.tech ~to_:root (Curve.get c i);
+      Build.extend_wire_cost_into cost b.tech ~to_:root c i;
       (match driver with
        | None -> ()
        | Some d ->
@@ -128,7 +115,7 @@ let extend_with ~name ~driver b root curves =
   b.filtered <- 0;
   Curve.Builder.build_map ~name ~max_size:b.max_curve bld ~f:(fun code ->
       let s = part_of bases n code in
-      Build.extend_wire_data ~to_:root (Curve.get curves.(s) (code - bases.(s))))
+      Build.extend_wire_data ~to_:root curves.(s).Curve.data.(code - bases.(s)))
 
 let extend b root curves =
   extend_with ~name:"Batch.extend" ~driver:None b root curves
@@ -145,27 +132,15 @@ let to_driver ~tech (net : Net.t) curves =
    it, and dropping it early moves no other point in or out of the
    frontier, so the built curve is the same down to payloads and order.
 
-   [load_columns cols c] reads [c]'s coordinates into [cols] and sets
-   [cols.dom.(i)] to the position of the highest-required-time point of
-   [c] whose (load, area) is at most point i's in both, or -1.  Such a
-   point sits after i: a curve is an antichain in req-descending order,
-   so an earlier one would dominate i outright, and for the same reason
-   it beats i strictly in load or area. *)
-let load_columns cols c =
+   [load_dom dom c] sets [dom.(i)] to the position of the
+   highest-required-time point of [c] whose (load, area) is at most
+   point i's in both, or -1.  Such a point sits after i: a curve is an
+   antichain in req-descending order, so an earlier one would dominate
+   i outright, and for the same reason it beats i strictly in load or
+   area. *)
+let load_dom dom (c : _ Curve.t) =
+  let load = c.Curve.load and area = c.Curve.area in
   let n = Curve.size c in
-  if Float.Array.length cols.req < n then begin
-    cols.req <- Float.Array.create (2 * n);
-    cols.load <- Float.Array.create (2 * n);
-    cols.area <- Float.Array.create (2 * n)
-  end;
-  cols.dom <- grow_ints cols.dom n;
-  let { req; load; area; dom } = cols in
-  for i = 0 to n - 1 do
-    let s = Curve.get c i in
-    Float.Array.set req i s.Solution.req;
-    Float.Array.set load i s.Solution.load;
-    Float.Array.set area i s.Solution.area
-  done;
   for i = 0 to n - 1 do
     let d = ref (-1) and j = ref (i + 1) in
     while !d < 0 && !j < n do
@@ -177,17 +152,21 @@ let load_columns cols c =
     dom.(i) <- !d
   done
 
-(* Whether joining x = [xs.(i)] with y = [ys.(j)] and joining x' =
-   [xs.(i')] with y cost differently once quantised, given that both
-   joins have the same req.  Their loads are x.load + y.load against
-   x'.load + y.load, and likewise for area: the float expressions of
-   Build.join_cost_into (float addition is commutative, so the operand
-   order does not matter), rounded up as in [quantise_cost]. *)
-let rival_differs (_, load_grid, area_grid) xs i i' ys j =
-  let load = Float.Array.get xs.load i +. Float.Array.get ys.load j
-  and load' = Float.Array.get xs.load i' +. Float.Array.get ys.load j
-  and area = Float.Array.get xs.area i +. Float.Array.get ys.area j
-  and area' = Float.Array.get xs.area i' +. Float.Array.get ys.area j in
+(* Whether joining x = point i of [xs] with y = point j of [ys] and
+   joining x' = point i' of [xs] with y cost differently once quantised,
+   given that both joins have the same req.  Their loads are x.load +
+   y.load against x'.load + y.load, and likewise for area: the float
+   expressions of Build.join_cost_into (float addition is commutative,
+   so the operand order does not matter), rounded up as in
+   [quantise_cost]. *)
+let rival_differs (_, load_grid, area_grid) (xs : _ Curve.t) i i'
+    (ys : _ Curve.t) j =
+  let xl = xs.Curve.load and xa = xs.Curve.area in
+  let yl = Float.Array.get ys.Curve.load j
+  and ya = Float.Array.get ys.Curve.area j in
+  let load = Float.Array.get xl i +. yl and load' = Float.Array.get xl i' +. yl
+  and area = Float.Array.get xa i +. ya
+  and area' = Float.Array.get xa i' +. ya in
   (if load_grid <> 0.0 then
      not
        (Float.equal
@@ -223,33 +202,34 @@ let split b s left right =
    candidate. *)
 let join_split b ~base left right =
   let nl = Curve.size left and nr = Curve.size right in
-  let lc = b.left_cols and rc = b.right_cols and quant = b.quant in
-  load_columns lc left;
-  load_columns rc right;
-  let { bld; cost; _ } = b in
+  b.left_dom <- grow_ints b.left_dom nl;
+  b.right_dom <- grow_ints b.right_dom nr;
+  let { bld; cost; quant; left_dom = ld; right_dom = rd; _ } = b in
+  load_dom ld left;
+  load_dom rd right;
+  let lreq = left.Curve.req and rreq = right.Curve.req in
   let pushed = ref 0 in
   for ia = 0 to nl - 1 do
-    let a = Curve.get left ia in
-    let ra = Float.Array.get lc.req ia in
+    let ra = Float.Array.get lreq ia in
     for ib = 0 to nr - 1 do
-      let rb = Float.Array.get rc.req ib in
+      let rb = Float.Array.get rreq ib in
       let beaten =
         if ra <= rb then begin
-          let k = rc.dom.(ib) in
+          let k = rd.(ib) in
           k >= 0
-          && Float.Array.get rc.req k >= ra
-          && rival_differs quant rc ib k lc ia
+          && Float.Array.get rreq k >= ra
+          && rival_differs quant right ib k left ia
         end
         else begin
-          let k = lc.dom.(ia) in
+          let k = ld.(ia) in
           k >= 0
-          && Float.Array.get lc.req k >= rb
-          && rival_differs quant lc ia k rc ib
+          && Float.Array.get lreq k >= rb
+          && rival_differs quant left ia k right ib
         end
       in
       if not beaten then begin
         incr pushed;
-        Build.join_cost_into cost a (Curve.get right ib);
+        Build.join_cost_into cost left ia right ib;
         quantise_cost quant cost;
         Curve.Builder.push_cost bld cost (base + (ia * nr) + ib)
       end
@@ -277,25 +257,26 @@ let join b root n =
         let right = rights.(s) and off = code - bases.(s) in
         let nr = Curve.size right in
         Build.join_data root
-          (Curve.get lefts.(s) (off / nr))
-          (Curve.get right (off mod nr)))
+          lefts.(s).Curve.data.(off / nr)
+          right.Curve.data.(off mod nr))
 
 (* The tree and members of closure candidate [code] of [curve], as
    [close] named it; [open_ix] still holds that batch's roots. *)
 let close_data b curve code =
-  let n = Curve.size curve in
-  if code < n then (Curve.get curve code).Solution.data
+  let n = Curve.size curve and data = curve.Curve.data in
+  if code < n then data.(code)
   else begin
     let nb = Array.length b.subset and t = code - n in
-    Build.add_root_buffer_data b.subset.(t mod nb)
-      (Curve.get curve b.open_ix.(t / nb))
+    Build.add_root_buffer_data b.subset.(t mod nb) data.(b.open_ix.(t / nb))
   end
 
-(* The buffer closure of [curve]: push every solution as it is, then
-   every (solution, buffer) trial on a root that takes one, in that
+(* The buffer closure of [curve]: push every solution as it is (copied
+   column to column inside Curve, solution i named i), then every
+   (solution, buffer) trial on a root that takes one, in that
    order — so equal-cost ties resolve exactly as they did when the
    candidates were added one by one into the existing curve — except
-   the trials another trial of the same buffer provably beats.  All trials of one buffer have its input capacitance as their load,
+   the trials another trial of the same buffer provably beats.  All
+   trials of one buffer have its input capacitance as their load,
    so trial i loses to trial k when k's quantised req is at least and
    its area at most i's, and k differs or was pushed first (k < i).
    Each trial is costed once, into the scratch columns (root oi, buffer
@@ -307,15 +288,11 @@ let close b ~rebuffer curve =
   let nb = Array.length subset in
   let { bld; cost; quant; _ } = b in
   Curve.Builder.clear bld;
-  for i = 0 to n - 1 do
-    let sol = Curve.get curve i in
-    Curve.Builder.push bld ~req:sol.Solution.req ~load:sol.Solution.load
-      ~area:sol.Solution.area i
-  done;
+  Curve.Builder.add_positions bld curve;
   b.open_ix <- grow_ints b.open_ix n;
   let open_ix = b.open_ix and n_open = ref 0 in
   for i = 0 to n - 1 do
-    match (Curve.get curve i).Solution.data.Build.tree with
+    match curve.Curve.data.(i).Build.tree with
     | Merlin_rtree.Rtree.Node { buffer = Some _; _ } when not rebuffer -> ()
     | Merlin_rtree.Rtree.Leaf _ | Merlin_rtree.Rtree.Node _ ->
       open_ix.(!n_open) <- i;
@@ -332,9 +309,9 @@ let close b ~rebuffer curve =
   let treq = b.trial_req and tload = b.trial_load
   and tarea = b.trial_area and beaten = b.trial_beaten in
   for oi = 0 to n_open - 1 do
-    let sol = Curve.get curve open_ix.(oi) in
+    let i = open_ix.(oi) in
     for bi = 0 to nb - 1 do
-      Build.add_root_buffer_cost_into cost subset.(bi) sol;
+      Build.add_root_buffer_cost_into cost subset.(bi) curve i;
       quantise_cost quant cost;
       let t = (oi * nb) + bi in
       Float.Array.set treq t cost.Curve.Builder.creq;

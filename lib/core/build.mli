@@ -42,30 +42,34 @@ val add_root_buffer : Buffer_lib.buffer -> sol -> sol
 val join : Point.t -> sol -> sol -> sol
 
 (** Data-only forms of the moves above: the routing tree and member list
-    the move produces, without its coordinates.  The batch DP loops pair
-    them with the cost-only twins below, building trees only for the
-    points a curve keeps; [join_data] raises like [join]. *)
+    the move produces from the operands' payloads, without coordinates.
+    The batch DP loops pair them with the cost-only twins below,
+    building trees only for the points a curve keeps; [join_data]
+    raises like [join]. *)
 
-val extend_wire_data : to_:Point.t -> sol -> t
+val extend_wire_data : to_:Point.t -> t -> t
 
-val add_root_buffer_data : Buffer_lib.buffer -> sol -> t
+val add_root_buffer_data : Buffer_lib.buffer -> t -> t
 
-val join_data : Point.t -> sol -> sol -> t
+val join_data : Point.t -> t -> t -> t
 
 (** Cost-only twins of the moves above: the (required time, load, area)
-    the move would produce, computed with the same float expressions (so
-    bit-identical), without constructing the routing tree.  Results are
-    written into a caller-owned {!Curve.Builder.cost} record — flat
+    the move would produce for point [i] of a curve (a join: point [ix]
+    of [x] with point [iy] of [y]), computed with the same float
+    expressions (so bit-identical), without constructing the routing
+    tree.  They read the operands from the curve's columns and write the
+    results into a caller-owned {!Curve.Builder.cost} record — flat
     all-float storage, so the hot loops move three floats per candidate
-    without allocating a tuple or boxing (DESIGN.md §9).  The batch DP
-    loops push the record with {!Curve.Builder.push_cost} and
+    without allocating a tuple or a {!Solution.t} (DESIGN.md §9).  The
+    batch DP loops push the record with {!Curve.Builder.push_cost} and
     materialise trees with the data-only forms, through
     {!Curve.Builder.build_map}, only for the points a curve keeps. *)
 
-val extend_wire_cost_into : Curve.Builder.cost -> Tech.t -> to_:Point.t -> sol -> unit
+val extend_wire_cost_into :
+  Curve.Builder.cost -> Tech.t -> to_:Point.t -> t Curve.t -> int -> unit
 
 val add_root_buffer_cost_into :
-  Curve.Builder.cost -> Buffer_lib.buffer -> 'a Solution.t -> unit
+  Curve.Builder.cost -> Buffer_lib.buffer -> 'a Curve.t -> int -> unit
 
 val join_cost_into :
-  Curve.Builder.cost -> 'a Solution.t -> 'b Solution.t -> unit
+  Curve.Builder.cost -> 'a Curve.t -> int -> 'b Curve.t -> int -> unit

@@ -101,7 +101,7 @@ let n_dropped = Atomic.make 0
 let n_join_filtered = Atomic.make 0
 let n_close_filtered = Atomic.make 0
 
-(* Bytes-moved telemetry: [allocated_bytes] deltas around each kernel
+(* Bytes-moved telemetry: [window_bytes] deltas around each kernel
    entry point (join, buffer closure, pull, base), plus join-build and
    survivor counts so bytes-per-join and mean frontier width fall out of
    a single counter snapshot.  The GC counters are per-domain, so a
@@ -133,10 +133,17 @@ let allocated_bytes () =
   (Gc.minor_words () +. (major -. promoted))
   *. float_of_int (Sys.word_size / 8)
 
+(* The byte windows' reading: minor-heap bytes only.  [Gc.minor_words]
+   returns an unboxed float and the conversion keeps it unboxed, so in
+   native code a reading allocates nothing, where [allocated_bytes]
+   allocates the [Gc.counters] tuple and boxed floats, about 96 B, twice
+   per window.  A window leaves out the blocks allocated directly on
+   the major heap: those over Max_young_wosize (256 words), such as a
+   builder's scratch growing or a curve of more than 256 points. *)
+let window_bytes () = int_of_float (Gc.minor_words ()) * (Sys.word_size / 8)
+
 let add_bytes counter before =
-  ignore
-    (Atomic.fetch_and_add counter
-       (int_of_float (allocated_bytes () -. before)))
+  ignore (Atomic.fetch_and_add counter (window_bytes () - before))
 
 let run_in ctx ~active ~terminals =
   let { batch; closes; bbox_slack; candidates; cells } = ctx in
@@ -161,7 +168,7 @@ let run_in ctx ~active ~terminals =
   let close_buffers curve =
     if Curve.is_empty curve || not closes then curve
     else begin
-      let before = allocated_bytes () in
+      let before = window_bytes () in
       let out = Batch.close batch ~rebuffer:false curve in
       ignore (Atomic.fetch_and_add n_close_adds (Batch.pushed batch));
       ignore (Atomic.fetch_and_add n_close_filtered (Batch.filtered batch));
@@ -205,7 +212,7 @@ let run_in ctx ~active ~terminals =
   let idx i j = (i * m) + j in
   let pull computed p =
     Atomic.incr n_pulls;
-    let before = allocated_bytes () in
+    let before = window_bytes () in
     let out = extend_counted n_pull_adds candidates.(p) computed in
     add_bytes bytes_pull before;
     out
@@ -250,7 +257,7 @@ let run_in ctx ~active ~terminals =
     let computed = Array.make k Curve.empty in
     let raw =
       if i = j then fun p ->
-        let before = allocated_bytes () in
+        let before = window_bytes () in
         let root = candidates.(p) in
         let out =
           match terminals.(i) with
@@ -270,7 +277,7 @@ let run_in ctx ~active ~terminals =
           ignore (cell_at i u p);
           ignore (cell_at (u + 1) j p)
         done;
-        let before = allocated_bytes () in
+        let before = window_bytes () in
         (* The join products of every split into one batch: prune once,
            and only build the joined trees that survive.  Split u is
            split u - i of the batch. *)

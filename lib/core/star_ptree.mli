@@ -119,7 +119,14 @@ val n_close_filtered : int Atomic.t
    between them allocated, plus the reading's own few words. *)
 val allocated_bytes : unit -> float
 
-(* Bytes-moved telemetry: [allocated_bytes] deltas accumulated around
+(* Bytes this domain has allocated on the minor heap so far: the
+   reading the kernel's byte windows take.  In native code a reading
+   allocates nothing, so a window holds only the kernel's own bytes;
+   it leaves out blocks allocated directly on the major heap (DESIGN.md
+   §9 "Bytes-moved telemetry"). *)
+val window_bytes : unit -> int
+
+(* Bytes-moved telemetry: [window_bytes] deltas accumulated around
    each kernel entry point, plus join-build/survivor counts, consumed by
    `bench/main.exe curve --json` and `merlin-cli route --stats`. *)
 val n_joins : int Atomic.t

@@ -9,26 +9,37 @@ let set_enabled b = enabled_ref := b
 let fail ~name msg =
   invalid_arg (Printf.sprintf "Contract.check: %s: %s" name msg)
 
-let verify_sorted_arr ~name sols =
-  for i = 0 to Array.length sols - 2 do
-    if Solution.compare_key sols.(i) sols.(i + 1) >= 0 then
-      fail ~name "solutions out of compare_key order"
+(* Strict Solution.compare_key order over the columns: req descending,
+   then load, then area ascending. *)
+let verify_sorted ~name req load area =
+  for i = 0 to Float.Array.length req - 2 do
+    let c = Float.compare (Float.Array.get req (i + 1)) (Float.Array.get req i) in
+    let c =
+      if c <> 0 then c
+      else
+        let c =
+          Float.compare (Float.Array.get load i) (Float.Array.get load (i + 1))
+        in
+        if c <> 0 then c
+        else Float.compare (Float.Array.get area i) (Float.Array.get area (i + 1))
+    in
+    if c >= 0 then fail ~name "solutions out of compare_key order"
   done
 
-(* Requires [sols] strictly sorted by compare_key ([check_arr] runs
-   [verify_sorted_arr] first).  Under that order an element can only be
+(* Requires the columns strictly sorted by compare_key ([check] runs
+   [verify_sorted] first).  Under that order a point can only be
    strictly dominated by an earlier one, so a single (load, area)
    minima-staircase sweep — the same structure [Curve.Builder.build]
    prunes with — answers every dominance query in O(n log n).  It is a
    deliberate second copy of the builder's staircase: the cross-check
    of a sweep must not share the sweep's code (DESIGN.md §9). *)
-let verify_frontier_arr ~name sols =
-  let n = Array.length sols in
+let verify_frontier ~name load area =
+  let n = Float.Array.length load in
   let st_load = Float.Array.create n in
   let st_area = Float.Array.create n in
   let st_len = ref 0 in
   for i = 0 to n - 1 do
-    let l = sols.(i).Solution.load and a = sols.(i).Solution.area in
+    let l = Float.Array.get load i and a = Float.Array.get area i in
     let p =
       let lo = ref 0 and hi = ref !st_len in
       while !lo < !hi do
@@ -57,9 +68,8 @@ let verify_frontier_arr ~name sols =
     Float.Array.set st_area q a
   done
 
-let check_arr ~name sols =
+let check ~name req load area =
   if !enabled_ref then begin
-    verify_sorted_arr ~name sols;
-    verify_frontier_arr ~name sols
-  end;
-  sols
+    verify_sorted ~name req load area;
+    verify_frontier ~name load area
+  end

@@ -13,10 +13,11 @@
 (** Programmatic override, used by tests. *)
 val set_enabled : bool -> unit
 
-(** [check_arr ~name sols] returns [sols]; when enabled, first asserts
-    both invariants and raises [Invalid_argument] naming [name] (the
-    curve operation) on a violation.  Every {!Curve.Builder.build} runs
-    it.  O(n log n) when enabled, through its own staircase sweep,
-    written apart from the builder's so it can catch the builder's
-    bugs. *)
-val check_arr : name:string -> 'a Solution.t array -> 'a Solution.t array
+(** [check ~name req load area] returns when disabled; when enabled, it
+    asserts both invariants over the columns of a curve (point [i] is
+    ([req.(i)], [load.(i)], [area.(i)])) and raises [Invalid_argument]
+    naming [name] (the curve operation) on a violation.  Every
+    {!Curve.Builder.build} runs it.  O(n log n) when enabled, through
+    its own staircase sweep, written apart from the builder's so it can
+    catch the builder's bugs. *)
+val check : name:string -> floatarray -> floatarray -> floatarray -> unit

@@ -1,45 +1,54 @@
 (* Array-backed frontier kernel.
 
    A curve is a sorted (Solution.compare_key), pairwise non-dominated
-   array of solutions.  The empty curve is its own constructor so the
-   polymorphic [empty] constant generalises (a bare [|]|] would be
-   weakly typed under the value restriction); every non-empty curve
-   carries a non-empty array.
+   set of points stored as columns: three floatarrays (req, load,
+   area), whose floats sit unboxed, and one payload array, all of the
+   curve's size.  The empty curve has zero-length columns; [empty] is a
+   record of constants, so it generalises like a constructor would.
 
    The batch path is [Builder]: candidates accumulate into
    structure-of-arrays floatarray storage (req/load/area) plus a data
    array, and [Builder.build] prunes the whole bag at once with one
    stable sort and one staircase sweep, then picks at most [max_size]
-   of the survivors and materialises only those.  The sweep exploits
-   the key order (req descending, then load, then area ascending): a
-   processed point can only be dominated by an earlier one, and a kept
-   point is never invalidated later, so maintaining the 2-D (load,
-   area) minima staircase of the kept points answers every dominance
-   query with a binary search.  Cost: O(P log P) for the sort plus O(log F) per
+   of the survivors and copies only those into the curve's columns.
+   The sweep exploits the key order (req descending, then load, then
+   area ascending): a processed point can only be dominated by an
+   earlier one, and a kept point is never invalidated later, so
+   maintaining the 2-D (load, area) minima staircase of the kept points
+   answers every dominance query with a binary search.  Cost: O(P log P) for the sort plus O(log F) per
    query and O(F) per staircase insertion (F = frontier size, F << P
    in the DP hot paths).  It is the only way to build a multi-solution
    curve. *)
 
-type 'a t =
-  | Empty
-  | F of 'a Solution.t array
+type 'a t = {
+  req : floatarray;
+  load : floatarray;
+  area : floatarray;
+  data : 'a array;
+}
 
-let empty = Empty
+let no_floats = Float.Array.create 0
 
-let is_empty = function Empty -> true | F _ -> false
+let empty = { req = no_floats; load = no_floats; area = no_floats; data = [||] }
 
-let size = function Empty -> 0 | F arr -> Array.length arr
+let size c = Array.length c.data
 
-let singleton s = F [| s |]
+let is_empty c = size c = 0
 
-let to_array = function Empty -> [||] | F arr -> arr
+let singleton (s : 'a Solution.t) =
+  { req = Float.Array.make 1 s.Solution.req;
+    load = Float.Array.make 1 s.Solution.load;
+    area = Float.Array.make 1 s.Solution.area;
+    data = [| s.Solution.data |] }
 
+(* The one-point view: a fresh Solution.t, for the cold paths. *)
 let get c i =
-  match c with
-  | Empty -> invalid_arg "Curve.get: empty curve"
-  | F arr -> arr.(i)
+  Solution.make ~req:(Float.Array.get c.req i) ~load:(Float.Array.get c.load i)
+    ~area:(Float.Array.get c.area i) c.data.(i)
 
-let to_list c = Array.to_list (to_array c)
+let to_list c = List.init (size c) (get c)
+
+let of_columns req load area data = { req; load; area; data }
 
 module Builder = struct
   type 'a b = {
@@ -139,8 +148,20 @@ module Builder = struct
     push b ~req:s.Solution.req ~load:s.Solution.load ~area:s.Solution.area
       s.Solution.data
 
+  (* Column-to-column copies: the floats move from one floatarray to
+     another without boxing, which a caller outside this module could
+     not do through [push] (dune's dev profile compiles with -opaque). *)
   let add_curve b c =
-    match c with Empty -> () | F arr -> Array.iter (add b) arr
+    for i = 0 to size c - 1 do
+      push b ~req:(Float.Array.get c.req i) ~load:(Float.Array.get c.load i)
+        ~area:(Float.Array.get c.area i) c.data.(i)
+    done
+
+  let add_positions b c =
+    for i = 0 to size c - 1 do
+      push b ~req:(Float.Array.get c.req i) ~load:(Float.Array.get c.load i)
+        ~area:(Float.Array.get c.area i) i
+    done
 
   (* Grow the sweep scratch to the push-storage capacity (>= len) in one
      step, so a long-lived builder reaches a fixed point and later
@@ -270,7 +291,7 @@ module Builder = struct
      | Some _ | None -> ());
     let n = b.len in
     b.kept <- 0;
-    if n = 0 then Empty
+    if n = 0 then empty
     else begin
       ensure_scratch b;
       let req = b.req and load = b.load and area = b.area in
@@ -338,61 +359,66 @@ module Builder = struct
       done;
       let nkeep = !nkeep in
       b.kept <- nkeep;
-      let point i =
-        Solution.make ~req:(Float.Array.get req i) ~load:(Float.Array.get load i)
-          ~area:(Float.Array.get area i) (f b.data.(i))
-      in
-      let out =
+      (* The returned points: all kept ones, or the [max_size]
+         selection, moved to the front of [keep] (its positions ascend,
+         so each is read before it is overwritten). *)
+      let np =
         match max_size with
         | Some m when nkeep > m ->
           let np = select b nkeep m in
-          Array.init np (fun t -> point keep.(b.pick.(t)))
-        | Some _ | None -> Array.init nkeep (fun t -> point keep.(t))
+          for t = 0 to np - 1 do
+            keep.(t) <- keep.(b.pick.(t))
+          done;
+          np
+        | Some _ | None -> nkeep
       in
-      F (Contract.check_arr ~name out)
+      let oreq = Float.Array.create np and oload = Float.Array.create np
+      and oarea = Float.Array.create np in
+      for t = 0 to np - 1 do
+        let i = keep.(t) in
+        Float.Array.set oreq t (Float.Array.get req i);
+        Float.Array.set oload t (Float.Array.get load i);
+        Float.Array.set oarea t (Float.Array.get area i)
+      done;
+      Contract.check ~name oreq oload oarea;
+      of_columns oreq oload oarea (Array.init np (fun t -> f b.data.(keep.(t))))
     end
 
   let build ?name ?max_size b = build_map ?name ?max_size ~f:Fun.id b
 end
 
-let map_data f c =
-  match c with Empty -> Empty | F arr -> F (Array.map (Solution.map f) arr)
+(* Only the payloads change: the float columns are shared. *)
+let map_data f c = { c with data = Array.map f c.data }
 
-let iter f c = Array.iter f (to_array c)
+let iter f c =
+  for i = 0 to size c - 1 do
+    f (get c i)
+  done
 
-let best_req = function Empty -> None | F arr -> Some arr.(0)
+let best_req c = if is_empty c then None else Some (get c 0)
 
+(* Curve order is req-descending, so the first fitting point wins. *)
 let best_under_area c ~area =
-  match c with
-  | Empty -> None
-  | F arr ->
-    (* Curve order is req-descending, so the first fitting point wins. *)
-    let n = Array.length arr in
-    let rec find i =
-      if i >= n then None
-      else if arr.(i).Solution.area <= area then Some arr.(i)
-      else find (i + 1)
-    in
-    find 0
+  let n = size c in
+  let rec find i =
+    if i >= n then None
+    else if Float.Array.get c.area i <= area then Some (get c i)
+    else find (i + 1)
+  in
+  find 0
 
+(* The curve is req-descending: stop at the first point below the floor
+   instead of scanning the whole frontier.  Ties on area keep the
+   earlier point. *)
 let best_min_area c ~req =
-  match c with
-  | Empty -> None
-  | F arr ->
-    (* The curve is req-descending: stop at the first element below the
-       floor instead of scanning the whole frontier. *)
-    let n = Array.length arr in
-    let rec scan i best =
-      if i >= n then best
-      else
-        let s = arr.(i) in
-        if s.Solution.req < req then best
-        else
-          let best =
-            match best with
-            | Some b when b.Solution.area <= s.Solution.area -> best
-            | Some _ | None -> Some s
-          in
-          scan (i + 1) best
-    in
-    scan 0 None
+  let n = size c in
+  let rec scan i best =
+    if i >= n || Float.Array.get c.req i < req then best
+    else
+      scan (i + 1)
+        (if best >= 0 && Float.Array.get c.area best <= Float.Array.get c.area i
+         then best
+         else i)
+  in
+  let best = scan 0 (-1) in
+  if best < 0 then None else Some (get c best)

@@ -1,8 +1,8 @@
 (** Non-inferior three-dimensional solution curves.
 
     A curve holds only mutually non-inferior solutions (Definition 6) and
-    keeps them in the deterministic {!Solution.compare_key} order, backed
-    by a sorted array.  All dynamic programs in the repository combine,
+    keeps them in the deterministic {!Solution.compare_key} order, stored
+    as sorted columns.  All dynamic programs in the repository combine,
     extend and prune these curves; Lemma 9 (pruning loses no non-inferior
     solution) is enforced here and property-tested in
     [test/test_curves.ml] and [test/test_curve_kernel.ml] (observational
@@ -14,7 +14,23 @@
     at [max_size] points before any payload is built (DESIGN.md §9).  The DP hot paths keep one builder per
     DP context and clear it between batches. *)
 
-type 'a t
+(** A curve's points as columns: point [i] is ([req.(i)], [load.(i)],
+    [area.(i)]) carrying [data.(i)], and every column has the curve's
+    size.  The float columns hold their values unboxed, so a DP loop
+    in another module reads a coordinate with [Float.Array.get] and
+    allocates nothing; a per-point accessor function would box each
+    float it returns, since dune's dev profile compiles with [-opaque]
+    (DESIGN.md §9 "Representation").  The record is private: only
+    {!Builder} makes curves, so the order and frontier invariants
+    hold.  The columns are read-only by contract: curves share them
+    ({!map_data}, the empty curve), so writing one would change every
+    curve that holds it. *)
+type 'a t = private {
+  req : floatarray;   (** required time, ps, non-increasing *)
+  load : floatarray;  (** capacitance at the root, fF *)
+  area : floatarray;  (** total buffer area, 1000 lambda^2 *)
+  data : 'a array;    (** the payload of each point *)
+}
 
 val empty : 'a t
 
@@ -24,6 +40,11 @@ val size : 'a t -> int
 
 (** [singleton s] is the one-solution curve holding [s]. *)
 val singleton : 'a Solution.t -> 'a t
+
+(** The functions below that return a {!Solution.t} build it on
+    demand, boxing its three floats: they serve the cold paths (the
+    final pick, reports and tests), and the DP loops read the columns
+    instead. *)
 
 (** [get c i] is the solution at position [i] of [c], in
     {!Solution.compare_key} order.  Raises [Invalid_argument] unless
@@ -69,8 +90,15 @@ module Builder : sig
   (** [add b s] pushes an existing solution. *)
   val add : 'a b -> 'a Solution.t -> unit
 
-  (** [add_curve b c] pushes every solution of [c]. *)
+  (** [add_curve b c] pushes every solution of [c], copying its
+      columns without boxing a float. *)
   val add_curve : 'a b -> 'a t -> unit
+
+  (** [add_positions b c] pushes every point of [c] with its position
+      in [c] as the payload: point [i] is pushed as [i].  A batch that
+      re-pushes a curve's points next to new candidates names them
+      this way, and the floats stay unboxed. *)
+  val add_positions : int b -> 'a t -> unit
 
   (** Forget all pushed candidates, keeping all storage — including the
       sort/staircase scratch grown by previous {!build}s, so a cleared
@@ -106,7 +134,8 @@ module Builder : sig
 end
 
 (** [map_data f c] maps only the carried payloads; coordinates — and
-    hence the frontier — are unchanged. *)
+    hence the frontier — are unchanged, and the result shares [c]'s
+    float columns. *)
 val map_data : ('a -> 'b) -> 'a t -> 'b t
 
 val iter : ('a Solution.t -> unit) -> 'a t -> unit

@@ -9,8 +9,6 @@ let compare_key s1 s2 =
     let c = Float.compare s1.load s2.load in
     if c <> 0 then c else Float.compare s1.area s2.area
 
-let map f s = { req = s.req; load = s.load; area = s.area; data = f s.data }
-
 (* Scalar bucketing: [grid_down] rounds down to a multiple of the grid
    (required time), [grid_up] rounds up (load, area); a grid of 0 is the
    identity. *)

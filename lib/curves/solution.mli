@@ -4,7 +4,11 @@
 
     The load and required-time dimensions are what make the principle of
     dynamic programming valid for the problem; the area dimension is what
-    lets the user trade area against speed (Section I). *)
+    lets the user trade area against speed (Section I).
+
+    A {!Curve} stores its points as columns; this record is the
+    one-point view, built on demand by {!Curve.get} and friends, and the
+    form a DP's single solution (a sink, a final pick) takes. *)
 
 type 'a t = {
   req : float;   (** required time at the solution's root, ps — larger is better *)
@@ -18,8 +22,6 @@ val make : req:float -> load:float -> area:float -> 'a -> 'a t
 (** Total order used for deterministic curve layout: decreasing required
     time, then increasing load, then increasing area. *)
 val compare_key : 'a t -> 'a t -> int
-
-val map : ('a -> 'b) -> 'a t -> 'b t
 
 (** [quantise ~req_grid ~load_grid ~area_grid s] buckets the coordinates
     pessimistically: required time rounded down, load and area up.  A grid

@@ -33,11 +33,11 @@ let curve ~tech ~buffers ?trials ?(max_curve = 16) ?refine_seg tree =
   let own_buffer b c =
     Curve.Builder.clear own_bld;
     for i = 0 to Curve.size c - 1 do
-      Build.add_root_buffer_cost_into cost b (Curve.get c i);
+      Build.add_root_buffer_cost_into cost b c i;
       Curve.Builder.push_cost own_bld cost i
     done;
     Curve.Builder.build_map ~name:"Van_ginneken.own_buffer" own_bld
-      ~f:(fun i -> Build.add_root_buffer_data b (Curve.get c i))
+      ~f:(fun i -> Build.add_root_buffer_data b c.Curve.data.(i))
   in
   let rec walk = function
     | Rtree.Leaf s -> close (Curve.singleton (Build.of_sink s))

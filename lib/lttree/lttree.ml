@@ -174,8 +174,8 @@ let best ~buffers ~max_fanout ~driver sinks =
               ~area:(area +. buf.Buffer_lib.area)
               (encode ~n ~nb ~next ~j ~b)
         done);
-    memo.(i) <-
-      Array.of_list (Curve.to_list (Curve.Builder.build ~name:"Lttree.links" bld))
+    let c = Curve.Builder.build ~name:"Lttree.links" bld in
+    memo.(i) <- Array.init (Curve.size c) (Curve.get c)
   done;
   (* Root: among the candidates that reach R*, the one with the least
      load, then area, then the most req before the gate, the earliest on

@@ -24,6 +24,9 @@ type t = {
 
 val make : d0:float -> r_drive:float -> k_slew:float -> s0:float -> t
 
+(** The input slew, ps, the dynamic programs assume. *)
+val nominal_slew : float
+
 (** [delay t ~load] is the gate delay in ps at nominal input slew for a
     [load] in fF. *)
 val delay : t -> load:float -> float

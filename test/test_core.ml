@@ -271,10 +271,11 @@ let prop_build_moves_split seed =
   let rng = Random.State.make [| seed |] in
   let net = mk_net 6 seed in
   let cost = Curve.Builder.new_cost () in
+  let same_bits x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
   let same_cost (s : Build.sol) =
-    Float.equal cost.Curve.Builder.creq s.Solution.req
-    && Float.equal cost.Curve.Builder.cload s.Solution.load
-    && Float.equal cost.Curve.Builder.carea s.Solution.area
+    same_bits cost.Curve.Builder.creq s.Solution.req
+    && same_bits cost.Curve.Builder.cload s.Solution.load
+    && same_bits cost.Curve.Builder.carea s.Solution.area
   in
   let same_data (d : Build.t) (s : Build.sol) =
     rtree_equal d.Build.tree s.Solution.data.Build.tree
@@ -293,22 +294,26 @@ let prop_build_moves_split seed =
   let extend s =
     let to_ = random_point () in
     let full = Build.extend_wire tech ~to_ s in
-    Build.extend_wire_cost_into cost tech ~to_ s;
-    (full, same_cost full && same_data (Build.extend_wire_data ~to_ s) full)
+    Build.extend_wire_cost_into cost tech ~to_ (Curve.singleton s) 0;
+    (full,
+     same_cost full && same_data (Build.extend_wire_data ~to_ s.Solution.data) full)
   in
   let buffer s =
     let b = buffers.(Random.State.int rng (Array.length buffers)) in
     let full = Build.add_root_buffer b s in
-    Build.add_root_buffer_cost_into cost b s;
-    (full, same_cost full && same_data (Build.add_root_buffer_data b s) full)
+    Build.add_root_buffer_cost_into cost b (Curve.singleton s) 0;
+    (full,
+     same_cost full && same_data (Build.add_root_buffer_data b s.Solution.data) full)
   in
   let join a b =
     let at = random_point () in
     let a = Build.extend_wire tech ~to_:at a
     and b = Build.extend_wire tech ~to_:at b in
     let full = Build.join at a b in
-    Build.join_cost_into cost a b;
-    (full, same_cost full && same_data (Build.join_data at a b) full)
+    Build.join_cost_into cost (Curve.singleton a) 0 (Curve.singleton b) 0;
+    (full,
+     same_cost full
+     && same_data (Build.join_data at a.Solution.data b.Solution.data) full)
   in
   (* A random walk of moves over solutions grown from the net's sinks,
      so the moves also meet buffered roots and earlier joins. *)
@@ -410,7 +415,6 @@ let prop_join_prefilter seed =
   let max_curve =
     if Random.State.bool rng then max_int else 2 + Random.State.int rng 8
   in
-  let cost = Curve.Builder.new_cost () in
   let reference = Curve.Builder.create () in
   let product = ref 0 in
   List.iter
@@ -419,10 +423,9 @@ let prop_join_prefilter seed =
          (fun a ->
             Curve.iter
               (fun b ->
-                 Build.join_cost_into cost a b;
-                 push_quantised reference quant ~req:cost.Curve.Builder.creq
-                   ~load:cost.Curve.Builder.cload ~area:cost.Curve.Builder.carea
-                   (Build.join_data root a b);
+                 let t = Build.join root a b in
+                 push_quantised reference quant ~req:t.Solution.req
+                   ~load:t.Solution.load ~area:t.Solution.area t.Solution.data;
                  incr product)
               right)
          left)
@@ -518,6 +521,25 @@ let test_allocated_bytes_additive () =
   Alcotest.(check bool) "window reads its allocation" true
     (mid -. before >= pairs && mid -. before <= pairs +. 1024.0);
   Alcotest.(check bool) "still across Gc.minor" true (after -. mid <= 1024.0)
+
+(* The kernel's byte windows read a counter that costs nothing to read,
+   so a window holds only the kernel's own bytes: two back-to-back
+   readings differ by 0 B.  The bytecode interpreter boxes the float
+   Gc.minor_words returns, one two-word block per reading. *)
+let test_window_costs_nothing () =
+  let a = Star_ptree.window_bytes () in
+  let b = Star_ptree.window_bytes () in
+  let reading =
+    match Sys.backend_type with
+    | Sys.Native -> 0
+    | Sys.Bytecode | Sys.Other _ -> 2 * (Sys.word_size / 8)
+  in
+  Alcotest.(check int) "back-to-back readings" reading (b - a);
+  let before = Star_ptree.window_bytes () in
+  ignore (Sys.opaque_identity (Array.make 10 0));
+  Alcotest.(check int) "a window reads its allocation"
+    (reading + (11 * (Sys.word_size / 8)))
+    (Star_ptree.window_bytes () - before)
 
 (* Exact mode: a cap no curve reaches, then the widest one, max_int.
    The routes are the same down to the trees, so no candidate code
@@ -759,6 +781,8 @@ let suite =
            ~count:2000 QCheck.(int_bound 1_000_000) prop_close_prefilter);
       Alcotest.test_case "star byte windows are additive" `Quick
         test_allocated_bytes_additive;
+      Alcotest.test_case "a kernel byte window costs no bytes" `Quick
+        test_window_costs_nothing;
       Alcotest.test_case "exact mode: max_curve = max_int" `Quick
         test_exact_mode_max_int;
       Alcotest.test_case "bubble: validity, Lemma 5, C-alpha" `Slow

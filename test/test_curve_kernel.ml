@@ -50,6 +50,9 @@ let same_obs xs ys =
 
 let of_list = Test_curves.of_list
 
+(* A solution with its payload mapped through [f]. *)
+let map_payload f (s : _ Solution.t) = { s with Solution.data = f s.Solution.data }
+
 (* A cap from 2 up to 6: the small caps, where the four kept extremes
    overflow and are truncated, and the ones with room for a spread. *)
 let arb_capped_bag = QCheck.pair arb_bag (QCheck.int_range 2 6)
@@ -119,7 +122,7 @@ let equiv =
           (obs (Curve.Builder.build_map ~max_size ~f bld))
           (obs_ref
              (Curve_reference.cap ~max_size
-                (List.map (Solution.map f) (Curve_reference.of_list sols)))));
+                (List.map (map_payload f) (Curve_reference.of_list sols)))));
     qtest "build_map calls ~f once per returned point, kept = frontier width"
       arb_capped_bag (fun (bag, max_size) ->
         let sols = bag_to_sols bag in
@@ -209,6 +212,171 @@ let modes =
              Curve.Builder.push_cost bld c i)
           bag;
         same_obs (obs (Curve.Builder.build bld)) (obs (build_bag bag))) ]
+
+(* ---------- Columnar curves against the reference, bitwise ---------- *)
+
+(* A curve read straight off its columns, coordinates as bit patterns. *)
+let columns c =
+  let bits col i = Int64.bits_of_float (Float.Array.get col i) in
+  List.init (Curve.size c) (fun i ->
+      (bits c.Curve.req i, bits c.Curve.load i, bits c.Curve.area i,
+       c.Curve.data.(i)))
+
+let bits_of_sols sols =
+  let bits = Int64.bits_of_float in
+  List.map
+    (fun s ->
+       (bits s.Solution.req, bits s.Solution.load, bits s.Solution.area,
+        s.Solution.data))
+    sols
+
+let same_bits xs ys =
+  List.equal
+    (fun (r, l, a, d) (r', l', a', d') ->
+       Int64.equal r r' && Int64.equal l l' && Int64.equal a a'
+       && Int.equal d d')
+    xs ys
+
+(* The one-point view agrees with the columns it is read from. *)
+let view_agrees c = same_bits (bits_of_sols (Curve.to_list c)) (columns c)
+
+(* Bags for the bitwise oracles: integer-valued coordinates, dense in
+   ties and dominations, or continuous ones; a flat bag has zero areas,
+   signed zeros mixed, as PTREE's curves do.  With a cap of 2-12 or
+   none. *)
+let gen_oracle_coords =
+  QCheck.Gen.(
+    pair bool bool >>= fun (flat, lattice) ->
+    let coord =
+      if lattice then map float_of_int (int_range 0 8) else float_range 0.0 8.0
+    in
+    let area = if flat then oneofl [ 0.0; -0.0 ] else coord in
+    list_size (int_range 0 40) (triple coord coord area))
+
+let print_oracle_bag (bag, cap) =
+  Printf.sprintf "cap %s: %s"
+    (match cap with None -> "none" | Some m -> string_of_int m)
+    (String.concat "; "
+       (List.map (fun (r, l, a) -> Printf.sprintf "(%h,%h,%h)" r l a) bag))
+
+let arb_oracle_bag =
+  QCheck.make ~print:print_oracle_bag
+    QCheck.Gen.(pair gen_oracle_coords (opt (int_range 2 12)))
+
+let arb_oracle_pair =
+  QCheck.make
+    ~print:(fun (a, b) -> print_oracle_bag a ^ " / " ^ print_oracle_bag b)
+    QCheck.Gen.(
+      pair
+        (pair gen_oracle_coords (opt (int_range 2 12)))
+        (pair gen_oracle_coords (opt (int_range 2 12))))
+
+(* The reference curve of a bag, capped like [of_list ?max_size]. *)
+let reference ?max_size sols =
+  let c = Curve_reference.of_list sols in
+  match max_size with
+  | None -> c
+  | Some max_size -> Curve_reference.cap ~max_size c
+
+let columnar =
+  [ qtest "singleton = reference one-point curve (bitwise)" arb_oracle_bag
+      (fun (bag, _) ->
+         List.for_all
+           (fun s ->
+              let c = Curve.singleton s in
+              Int.equal (Curve.size c) 1
+              && same_bits (columns c) (bits_of_sols [ s ])
+              && view_agrees c)
+           (bag_to_sols bag));
+    qtest "map_data = reference map_solutions (bitwise, columns shared)"
+      arb_oracle_bag (fun (bag, max_size) ->
+        let sols = bag_to_sols bag in
+        let f i = (3 * i) + 1 in
+        let c = of_list ?max_size sols in
+        let m = Curve.map_data f c in
+        same_bits (columns m)
+          (bits_of_sols
+             (Curve_reference.map_solutions (map_payload f)
+                (reference ?max_size sols)))
+        && view_agrees m
+        && m.Curve.req == c.Curve.req (* check: physical-eq *)
+        && m.Curve.load == c.Curve.load (* check: physical-eq *)
+        && m.Curve.area == c.Curve.area (* check: physical-eq *));
+    qtest "add_curve of capped curves = capped reference union (bitwise)"
+      arb_oracle_pair (fun ((ba, ca), (bb, cb)) ->
+        (* Two curves, each capped or not, merged through add_curve with
+           the empty curve between them, and the merge capped by the
+           second cap: the reference unions the reference curves. *)
+        let sa = bag_to_sols ba
+        and sb = List.mapi (fun i (r, l, a) -> sol ~data:(1000 + i) r l a) bb in
+        let bld = Curve.Builder.create () in
+        Curve.Builder.add_curve bld (of_list ?max_size:ca sa);
+        Curve.Builder.add_curve bld Curve.empty;
+        Curve.Builder.add_curve bld (of_list ?max_size:ca sb);
+        let got = Curve.Builder.build ?max_size:cb bld in
+        let union =
+          Curve_reference.union (reference ?max_size:ca sa)
+            (reference ?max_size:ca sb)
+        in
+        let expected =
+          match cb with
+          | None -> union
+          | Some max_size -> Curve_reference.cap ~max_size union
+        in
+        same_bits (columns got) (bits_of_sols expected) && view_agrees got);
+    qtest "empty = reference empty" arb_oracle_bag (fun (bag, max_size) ->
+        (* The empty curve holds nothing, answers no query, maps to
+           itself and adds nothing to a bag. *)
+        let e : int Curve.t = Curve.empty in
+        let bld = Curve.Builder.create () in
+        Curve.Builder.add_curve bld e;
+        let alone = Curve.Builder.build ?max_size bld in
+        List.iter (Curve.Builder.add bld) (bag_to_sols bag);
+        Curve.Builder.add_curve bld e;
+        Curve.is_empty e && Int.equal (Curve.size e) 0
+        && same_bits (columns e) (bits_of_sols Curve_reference.empty)
+        && view_agrees e
+        && Curve.is_empty (Curve.map_data succ e)
+        && Option.is_none (Curve.best_req e)
+        && Option.is_none (Curve.best_under_area e ~area:infinity)
+        && Option.is_none (Curve.best_min_area e ~req:neg_infinity)
+        && Curve.is_empty alone
+        && same_bits
+             (columns (Curve.Builder.build ?max_size bld))
+             (bits_of_sols (reference ?max_size (bag_to_sols bag)))) ]
+
+(* A contract over the columns still fires when they are not a curve:
+   out of order by each key in turn (req, then load, then area), a
+   repeated point, and a point dominated by a non-adjacent one. *)
+let test_contract_on_columns () =
+  let check req load area =
+    Contract.check ~name:"columns" (Float.Array.of_list req)
+      (Float.Array.of_list load) (Float.Array.of_list area)
+  in
+  let unsorted = "Contract.check: columns: solutions out of compare_key order"
+  and inferior = "Contract.check: columns: curve holds an inferior solution" in
+  Contract.set_enabled true;
+  Fun.protect
+    ~finally:(fun () -> Contract.set_enabled false)
+    (fun () ->
+       Alcotest.check_raises "req ascending" (Invalid_argument unsorted)
+         (fun () -> check [ 1.0; 2.0 ] [ 1.0; 2.0 ] [ 0.0; 0.0 ]);
+       Alcotest.check_raises "equal req, load descending"
+         (Invalid_argument unsorted)
+         (fun () -> check [ 2.0; 2.0 ] [ 3.0; 1.0 ] [ 0.0; 1.0 ]);
+       Alcotest.check_raises "equal req and load, area descending"
+         (Invalid_argument unsorted)
+         (fun () -> check [ 2.0; 2.0 ] [ 1.0; 1.0 ] [ 5.0; 1.0 ]);
+       Alcotest.check_raises "repeated point" (Invalid_argument unsorted)
+         (fun () -> check [ 2.0; 2.0 ] [ 1.0; 1.0 ] [ 1.0; 1.0 ]);
+       Alcotest.check_raises "dominated by a non-adjacent point"
+         (Invalid_argument inferior)
+         (fun () ->
+            check [ 9.0; 8.0; 7.0 ] [ 1.0; 0.5; 2.0 ] [ 1.0; 3.0; 1.0 ]);
+       (* A curve the builder made passes. *)
+       let c = of_list [ sol ~data:0 9.0 1.0 1.0; sol ~data:1 8.0 0.5 3.0 ] in
+       Contract.check ~name:"columns" c.Curve.req c.Curve.load c.Curve.area;
+       Alcotest.(check int) "a built curve passes" 2 (Curve.size c))
 
 (* Regression for the batch cap: the four extreme points — best required
    time, least load, least area, and the last curve element — survive
@@ -300,5 +468,7 @@ let suite =
         test_cap_preserves_extremes;
       Alcotest.test_case "builder lifecycle" `Quick test_builder_lifecycle;
       Alcotest.test_case "batch results pass contracts" `Quick
-        test_batch_contracts ]
-    @ equiv @ modes )
+        test_batch_contracts;
+      Alcotest.test_case "contract on the columns fires on a non-curve" `Quick
+        test_contract_on_columns ]
+    @ equiv @ modes @ columnar )
