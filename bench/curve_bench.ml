@@ -111,10 +111,7 @@ let run_adds ~rand ~reps s =
         Curve.Builder.build bld)
   in
   let ref_sum =
-    List.fold_left
-      (fun acc s -> acc +. s.Solution.req)
-      0.0
-      (Curve_reference.to_list ref_out)
+    List.fold_left (fun acc s -> acc +. s.Solution.req) 0.0 ref_out
   in
   if checksum batch_out <> ref_sum || Curve.size batch_out <> s then
     failwith "Curve_bench.run_adds: implementations disagree";

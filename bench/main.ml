@@ -27,6 +27,7 @@ module FR = Merlin_circuit.Flow_runner
 module Pool = Merlin_exec.Pool
 module Clock = Merlin_exec.Clock
 module Json = Merlin_report.Json
+module Kernel = Merlin_core.Star_ptree
 
 let tech = Tech.default
 let buffers = Buffer_lib.default
@@ -81,15 +82,14 @@ let ji i = Json.Num (float_of_int i)
    and closure candidates the exact pre-filters leave out are counted
    apart from the pushes: pushes plus filtered is the whole product. *)
 let counter_fields () =
-  let c a = ji (Atomic.get a) in
-  let open Merlin_core.Star_ptree in
-  [ ("n_join_adds", c n_join_adds); ("n_join_filtered", c n_join_filtered);
-    ("n_close_adds", c n_close_adds); ("n_close_filtered", c n_close_filtered);
-    ("n_pull_adds", c n_pull_adds); ("n_base_adds", c n_base_adds);
-    ("n_cells", c n_cells); ("n_pulls", c n_pulls);
-    ("n_joins", c n_joins); ("n_join_survivors", c n_join_survivors);
-    ("bytes_join", c bytes_join); ("bytes_close", c bytes_close);
-    ("bytes_pull", c bytes_pull); ("bytes_base", c bytes_base) ]
+  let c = Kernel.counts () in
+  [ ("n_join_adds", ji c.join_adds); ("n_join_filtered", ji c.join_filtered);
+    ("n_close_adds", ji c.close_adds); ("n_close_filtered", ji c.close_filtered);
+    ("n_pull_adds", ji c.pull_adds); ("n_base_adds", ji c.base_adds);
+    ("n_cells", ji c.cells); ("n_pulls", ji c.pulls);
+    ("n_joins", ji c.joins); ("n_join_survivors", ji c.join_survivors);
+    ("bytes_join", ji c.bytes_join); ("bytes_close", ji c.bytes_close);
+    ("bytes_pull", ji c.bytes_pull); ("bytes_base", ji c.bytes_base) ]
 
 let write_json ~opts ~table ~wall_s rows =
   match opts.json with
@@ -514,51 +514,6 @@ let lttree_smoke_bytes () =
           acc +. (Merlin_core.Star_ptree.allocated_bytes () -. before))
        0.0
 
-type kernel_snap = {
-  k_runs : int;
-  k_cells : int;
-  k_joins : int;
-  k_join_adds : int;
-  k_join_filtered : int;
-  k_close_adds : int;
-  k_close_filtered : int;
-  k_join_survivors : int;
-  k_bytes_join : int;
-  k_bytes_close : int;
-  k_bytes_pull : int;
-  k_bytes_base : int;
-}
-
-let snap_kernel () =
-  let g = Atomic.get in
-  let open Merlin_core.Star_ptree in
-  { k_runs = g n_runs;
-    k_cells = g n_cells;
-    k_joins = g n_joins;
-    k_join_adds = g n_join_adds;
-    k_join_filtered = g n_join_filtered;
-    k_close_adds = g n_close_adds;
-    k_close_filtered = g n_close_filtered;
-    k_join_survivors = g n_join_survivors;
-    k_bytes_join = g bytes_join;
-    k_bytes_close = g bytes_close;
-    k_bytes_pull = g bytes_pull;
-    k_bytes_base = g bytes_base }
-
-let snap_delta a b =
-  { k_runs = b.k_runs - a.k_runs;
-    k_cells = b.k_cells - a.k_cells;
-    k_joins = b.k_joins - a.k_joins;
-    k_join_adds = b.k_join_adds - a.k_join_adds;
-    k_join_filtered = b.k_join_filtered - a.k_join_filtered;
-    k_close_adds = b.k_close_adds - a.k_close_adds;
-    k_close_filtered = b.k_close_filtered - a.k_close_filtered;
-    k_join_survivors = b.k_join_survivors - a.k_join_survivors;
-    k_bytes_join = b.k_bytes_join - a.k_bytes_join;
-    k_bytes_close = b.k_bytes_close - a.k_bytes_close;
-    k_bytes_pull = b.k_bytes_pull - a.k_bytes_pull;
-    k_bytes_base = b.k_bytes_base - a.k_bytes_base }
-
 let per j v = if j = 0 then 0.0 else float_of_int v /. float_of_int j
 
 (* One row of the curve workload: the full MERLIN flow (Flow III) on a
@@ -572,7 +527,7 @@ let curve_row ~label ~n () =
     { (Merlin_core.Config.scaled n) with Merlin_core.Config.max_iters = 2 }
   in
   Gc.full_major ();
-  let before = snap_kernel () in
+  let before = Kernel.counts () in
   let m =
     Flows.run
       { Flows.tech; buffers;
@@ -581,7 +536,7 @@ let curve_row ~label ~n () =
             { cfg = Some cfg; objective = Merlin_core.Objective.Best_req } }
       net
   in
-  let d = snap_delta before (snap_kernel ()) in
+  let d = Kernel.diff before (Kernel.counts ()) in
   (label, n, m, d)
 
 let curve_table ~opts () =
@@ -608,15 +563,15 @@ let curve_table ~opts () =
   progress "[curve] wall %.2fs" wall_s;
   let cells =
     List.map
-      (fun (label, _n, m, d) ->
+      (fun (label, _n, m, (d : Kernel.counts)) ->
          [ S label; F m.Flows.root_req; F m.Flows.area;
-           F m.Flows.runtime; I d.k_joins;
-           F (per d.k_joins d.k_join_adds);
-           F (per d.k_joins d.k_join_filtered);
-           F (per d.k_joins d.k_bytes_join);
-           F (per d.k_cells d.k_bytes_close);
-           F (per d.k_joins d.k_join_survivors);
-           F (per d.k_runs d.k_cells) ])
+           F m.Flows.runtime; I d.joins;
+           F (per d.joins d.join_adds);
+           F (per d.joins d.join_filtered);
+           F (per d.joins d.bytes_join);
+           F (per d.cells d.bytes_close);
+           F (per d.joins d.join_survivors);
+           F (per d.runs d.cells) ])
       rows
   in
   print
@@ -625,24 +580,24 @@ let curve_table ~opts () =
     ~header cells;
   let json_rows =
     List.map
-      (fun (label, n, m, d) ->
+      (fun (label, n, m, (d : Kernel.counts)) ->
          Json.Obj
            [ ("row", js label); ("sinks", ji n); ("req", jf m.Flows.root_req);
              ("area", jf m.Flows.area); ("runtime", jf m.Flows.runtime);
-             ("joins", ji d.k_joins); ("join_adds", ji d.k_join_adds);
-             ("join_filtered", ji d.k_join_filtered);
-             ("close_adds", ji d.k_close_adds);
-             ("close_filtered", ji d.k_close_filtered);
-             ("join_survivors", ji d.k_join_survivors);
-             ("bytes_join", ji d.k_bytes_join);
-             ("bytes_close", ji d.k_bytes_close);
-             ("bytes_pull", ji d.k_bytes_pull);
-             ("bytes_base", ji d.k_bytes_base);
-             ("bytes_per_join", jf (per d.k_joins d.k_bytes_join));
-             ("bytes_close_per_cell", jf (per d.k_cells d.k_bytes_close));
-             ("frontier_per_join", jf (per d.k_joins d.k_join_survivors));
-             ("merges", ji d.k_runs); ("cells", ji d.k_cells);
-             ("cells_per_merge", jf (per d.k_runs d.k_cells)) ])
+             ("joins", ji d.joins); ("join_adds", ji d.join_adds);
+             ("join_filtered", ji d.join_filtered);
+             ("close_adds", ji d.close_adds);
+             ("close_filtered", ji d.close_filtered);
+             ("join_survivors", ji d.join_survivors);
+             ("bytes_join", ji d.bytes_join);
+             ("bytes_close", ji d.bytes_close);
+             ("bytes_pull", ji d.bytes_pull);
+             ("bytes_base", ji d.bytes_base);
+             ("bytes_per_join", jf (per d.joins d.bytes_join));
+             ("bytes_close_per_cell", jf (per d.cells d.bytes_close));
+             ("frontier_per_join", jf (per d.joins d.join_survivors));
+             ("merges", ji d.runs); ("cells", ji d.cells);
+             ("cells_per_merge", jf (per d.runs d.cells)) ])
       rows
   in
   write_json ~opts ~table:"curve" ~wall_s
@@ -679,22 +634,22 @@ let curve_table ~opts () =
          lttree_bytes lttree_budget_bytes);
   if opts.smoke then
     List.iter
-      (fun (label, _, _, d) ->
-         let bpj = per d.k_joins d.k_bytes_join in
+      (fun (label, _, _, (d : Kernel.counts)) ->
+         let bpj = per d.joins d.bytes_join in
          if bpj > alloc_budget_bytes_per_join *. 1.25 then
            failwith
              (Printf.sprintf
                 "Bench.curve_table: %s allocates %.0f bytes/join, over \
                  budget %.0f x1.25 — the zero-allocation kernel regressed"
                 label bpj alloc_budget_bytes_per_join);
-         let bpc = per d.k_cells d.k_bytes_close in
+         let bpc = per d.cells d.bytes_close in
          if bpc > alloc_budget_bytes_close_per_cell *. 1.25 then
            failwith
              (Printf.sprintf
                 "Bench.curve_table: %s allocates %.0f closure bytes/cell, \
                  over budget %.0f x1.25 — the buffer closure regressed"
                 label bpc alloc_budget_bytes_close_per_cell);
-         let cpm = per d.k_runs d.k_cells in
+         let cpm = per d.runs d.cells in
          if cpm > cells_budget_per_merge *. 1.25 then
            failwith
              (Printf.sprintf
@@ -1203,40 +1158,53 @@ let speed ~seconds () =
 
 (* ------------------------------------------------------------------ *)
 
+let subcommands =
+  [ "table1"; "table2"; "hier"; "curve"; "serve"; "ablations"; "speed"; "all" ]
+
+let usage =
+  "usage: main.exe [SUBCOMMAND] [--full] [--smoke] [--stats] [-j N] \
+   [--seconds S] [--json FILE]\n\
+   SUBCOMMAND is one of " ^ String.concat ", " subcommands
+  ^ "; without one, every table runs.\n"
+
+(* Every argument must be a subcommand, a flag or a flag's value: a
+   mistyped subcommand would otherwise run every table, for hours.  The
+   first subcommand given wins. *)
+let rec parse_args opts what args =
+  let refuse fmt =
+    Printf.ksprintf
+      (fun m -> prerr_string ("bench: " ^ m ^ "\n" ^ usage); exit 2)
+      fmt
+  in
+  match args with
+  | [] -> (opts, what)
+  | ("--help" | "-h") :: _ -> print_string usage; exit 0
+  | "--full" :: r -> parse_args { opts with full = true } what r
+  | "--smoke" :: r -> parse_args { opts with smoke = true } what r
+  | "--stats" :: r -> parse_args { opts with show_stats = true } what r
+  | "--seconds" :: v :: r ->
+    parse_args { opts with seconds = float_of_string v } what r
+  | ("-j" | "--jobs") :: v :: r ->
+    parse_args { opts with jobs = max 1 (int_of_string v) } what r
+  | "--json" :: v :: r -> parse_args { opts with json = Some v } what r
+  | a :: r when List.mem a subcommands ->
+    parse_args opts (Some (Option.value what ~default:a)) r
+  | [ ("--seconds" | "-j" | "--jobs" | "--json") as k ] ->
+    refuse "%s needs a value" k
+  | a :: _ -> refuse "unknown argument %S" a
+
 let () =
-  let args = Array.to_list Sys.argv in
-  let full = List.mem "--full" args in
-  let smoke = List.mem "--smoke" args in
-  let show_stats = List.mem "--stats" args in
-  let rec find_value keys = function
-    | k :: v :: _ when List.mem k keys -> Some v
-    | _ :: rest -> find_value keys rest
-    | [] -> None
+  let defaults =
+    { full = false; smoke = false; jobs = 1; show_stats = false; json = None;
+      seconds = 1.0 }
   in
-  let seconds =
-    match find_value [ "--seconds" ] args with
-    | Some v -> float_of_string v
-    | None -> 1.0
-  in
-  let jobs =
-    match find_value [ "-j"; "--jobs" ] args with
-    | Some v -> max 1 (int_of_string v)
-    | None -> 1
-  in
-  let json = find_value [ "--json" ] args in
-  let opts = { full; smoke; jobs; show_stats; json; seconds } in
+  let args = List.tl (Array.to_list Sys.argv) in
+  let opts, what = parse_args defaults None args in
+  let { jobs; show_stats; seconds; _ } = opts in
   (* Must happen before any domain exists (it may re-exec the process);
      see Runparam. *)
   if jobs > 1 then Merlin_exec.Runparam.ensure_minor_heap ();
   let pool = if jobs > 1 then Some (Pool.create ~domains:jobs ()) else None in
-  let what =
-    List.find_opt
-      (fun a ->
-         List.mem a
-           [ "table1"; "table2"; "hier"; "curve"; "serve"; "ablations";
-             "speed"; "all" ])
-      args
-  in
   (match what with
    | Some "table1" -> table1 ~opts pool ()
    | Some "table2" -> table2 ~opts pool ()

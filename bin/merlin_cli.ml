@@ -132,23 +132,19 @@ let dump_stats pool =
    allocation deltas per *PTREE entry point, see Star_ptree.
    Cells memoised within a construction count once. *)
 let dump_curve_stats () =
-  let g = Atomic.get in
-  let open Merlin_core.Star_ptree in
-  let joins = g n_joins and runs = g n_runs in
-  let per v = if joins = 0 then 0.0 else float_of_int v /. float_of_int joins in
+  let c = Merlin_core.Star_ptree.counts () in
+  let per v =
+    if c.joins = 0 then 0.0 else float_of_int v /. float_of_int c.joins
+  in
   Format.eprintf
     "curve kernel: merges=%d cells/merge=%.2f joins=%d adds/join=%.1f \
      filtered/join=%.1f close=[adds %d; filtered %d] front/join=%.1f \
      B/join=%.0f bytes=[join %d; close %d; pull %d; base %d]@."
-    runs
-    (if runs = 0 then 0.0 else float_of_int (g n_cells) /. float_of_int runs)
-    joins
-    (per (g n_join_adds))
-    (per (g n_join_filtered))
-    (g n_close_adds) (g n_close_filtered)
-    (per (g n_join_survivors))
-    (per (g bytes_join))
-    (g bytes_join) (g bytes_close) (g bytes_pull) (g bytes_base)
+    c.runs
+    (if c.runs = 0 then 0.0 else float_of_int c.cells /. float_of_int c.runs)
+    c.joins (per c.join_adds) (per c.join_filtered) c.close_adds
+    c.close_filtered (per c.join_survivors) (per c.bytes_join) c.bytes_join
+    c.bytes_close c.bytes_pull c.bytes_base
 
 let setup_verbose verbose =
   if verbose then begin
@@ -174,22 +170,24 @@ let route file random seed shape flow alpha objective cluster_size clusters
   let* objective = parse_objective objective in
   let run_flow3_verbose () =
     (* Rich human output for the headline flow: evaluation, hierarchy
-       and (optionally) the routing tree. *)
+       and (optionally) the routing tree of the point [Flows.run]
+       reports. *)
     match Merlin_core.Merlin.run ~cfg ~objective ~tech ~buffers net with
     | None -> Error "objective infeasible on the final solution curve"
     | Some out ->
-      let ev = Merlin_rtree.Eval.net tech net out.Merlin_core.Merlin.tree in
+      let chosen = Merlin_core.Merlin.pick ~cfg ~objective out in
+      let tree = chosen.Merlin_curves.Solution.data.Merlin_core.Build.tree in
+      let ev = Merlin_rtree.Eval.net tech net tree in
       Format.printf
         "MERLIN: req=%.1fps delay=%.1fps area=%.2f buffers=%d loops=%d@."
         ev.Merlin_rtree.Eval.root_req ev.Merlin_rtree.Eval.net_delay
         ev.Merlin_rtree.Eval.area
-        (Merlin_rtree.Rtree.n_buffers out.Merlin_core.Merlin.tree)
+        (Merlin_rtree.Rtree.n_buffers tree)
         out.Merlin_core.Merlin.loops;
       Format.printf "hierarchy: %a@." Merlin_core.Catree.pp
-        out.Merlin_core.Merlin.hierarchy;
+        (Merlin_core.Bubble_construct.hierarchy chosen);
       if show_tree then
-        Format.printf "tree:@.%a@." Merlin_rtree.Rtree.pp
-          out.Merlin_core.Merlin.tree;
+        Format.printf "tree:@.%a@." Merlin_rtree.Rtree.pp tree;
       Ok 0
   in
   let emit = emit_metrics ~json ~with_tree:show_tree in

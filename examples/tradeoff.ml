@@ -23,12 +23,12 @@ let () =
   Format.printf "Net %s: final non-inferior curve (%d points)@." net.Net.name
     (Curve.size curve);
   Format.printf "  %-10s %-10s %-10s %s@." "req(ps)" "load(fF)" "area" "buffers";
-  Curve.iter
-    (fun sol ->
-       Format.printf "  %-10.1f %-10.2f %-10.2f %d@." sol.Solution.req
-         sol.Solution.load sol.Solution.area
-         (Merlin_rtree.Rtree.n_buffers sol.Solution.data.Core.Build.tree))
-    curve;
+  for i = 0 to Curve.size curve - 1 do
+    let sol = Curve.get curve i in
+    Format.printf "  %-10.1f %-10.2f %-10.2f %d@." sol.Solution.req
+      sol.Solution.load sol.Solution.area
+      (Merlin_rtree.Rtree.n_buffers sol.Solution.data.Core.Build.tree)
+  done;
   (* Variant I: maximise required time subject to an area budget. *)
   Format.printf "@.Variant I (max req s.t. area <= budget):@.";
   List.iter

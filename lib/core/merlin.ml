@@ -72,3 +72,18 @@ let run ?candidates ?(cfg = Config.default) ?(objective = Objective.Best_req)
       else loop next (loops + 1) history total_merges best_so_far
   in
   loop init 1 [] 0 None
+
+let pick ~cfg ~objective out =
+  match objective with
+  | Objective.Best_req -> (
+    (* The paper extracts "the solution with the best trade-off between
+       required time and total buffer area": take the cheapest solution
+       within two quantisation buckets of the best required time. *)
+    let slack = 2.0 *. cfg.Config.quant_req in
+    let floor = out.best.Solution.req -. slack in
+    match Curve.best_min_area out.curve ~req:floor with
+    | Some s -> s
+    | None -> out.best)
+  | Objective.Max_req_under_area _ | Objective.Min_area_over_req _ ->
+    (* A constrained objective already names its curve point. *)
+    out.best

@@ -37,3 +37,10 @@ val run :
   buffers:Buffer_lib.t ->
   Net.t ->
   outcome option
+
+(** [pick ~cfg ~objective out] is the curve point a flow reports, for
+    the [cfg] and [objective] [out] was searched with.  Under
+    {!Objective.Best_req} it is the paper's trade-off pick: the least
+    area point within [2 * cfg.quant_req] of [out.best]'s required
+    time.  A constrained objective reports [out.best]. *)
+val pick : cfg:Config.t -> objective:Objective.t -> outcome -> Build.t Solution.t

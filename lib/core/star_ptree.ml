@@ -302,3 +302,36 @@ let run_in ctx ~active ~terminals =
   in
   (* The top cell stays in the table for later runs: hand out a copy. *)
   Array.copy (cell 0 (m - 1)).computed
+
+(* One reading of every kernel counter, for callers that diff two. *)
+type counts = {
+  runs : int; cells : int; dropped : int; pulls : int;
+  joins : int; join_adds : int; join_filtered : int; join_survivors : int;
+  close_adds : int; close_filtered : int; pull_adds : int; base_adds : int;
+  bytes_join : int; bytes_close : int; bytes_pull : int; bytes_base : int;
+}
+
+let counts () =
+  let g = Atomic.get in
+  { runs = g n_runs; cells = g n_cells; dropped = g n_dropped;
+    pulls = g n_pulls; joins = g n_joins; join_adds = g n_join_adds;
+    join_filtered = g n_join_filtered; join_survivors = g n_join_survivors;
+    close_adds = g n_close_adds; close_filtered = g n_close_filtered;
+    pull_adds = g n_pull_adds; base_adds = g n_base_adds;
+    bytes_join = g bytes_join; bytes_close = g bytes_close;
+    bytes_pull = g bytes_pull; bytes_base = g bytes_base }
+
+let diff a b =
+  { runs = b.runs - a.runs; cells = b.cells - a.cells;
+    dropped = b.dropped - a.dropped; pulls = b.pulls - a.pulls;
+    joins = b.joins - a.joins; join_adds = b.join_adds - a.join_adds;
+    join_filtered = b.join_filtered - a.join_filtered;
+    join_survivors = b.join_survivors - a.join_survivors;
+    close_adds = b.close_adds - a.close_adds;
+    close_filtered = b.close_filtered - a.close_filtered;
+    pull_adds = b.pull_adds - a.pull_adds;
+    base_adds = b.base_adds - a.base_adds;
+    bytes_join = b.bytes_join - a.bytes_join;
+    bytes_close = b.bytes_close - a.bytes_close;
+    bytes_pull = b.bytes_pull - a.bytes_pull;
+    bytes_base = b.bytes_base - a.bytes_base }

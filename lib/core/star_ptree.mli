@@ -92,27 +92,30 @@ module Runs : Hashtbl.S with type key = int array
 val run_in :
   context -> active:int array -> terminals:terminal array -> Build.t Curve.t array
 
+(** One reading of the kernel counters, process totals.  They count
+    computed work only, so a memoised cell adds nothing, and only
+    {!run_in} moves them ({!Batch} hands back its counts).  [runs]
+    counts {!run_in} calls; every computed cell is held by its context
+    until {!drop}, which adds the cells it drops to [dropped].  The
+    [_adds] fields count pushes after the exact pre-filters, and the
+    [_filtered] ones the candidates those left out, so the two sum to
+    the whole product.  The [bytes_] fields sum {!window_bytes} deltas
+    around each kernel entry point; [joins] and [join_survivors] count
+    join builds and the points they kept. *)
+type counts = {
+  runs : int; cells : int; dropped : int; pulls : int;
+  joins : int; join_adds : int; join_filtered : int; join_survivors : int;
+  close_adds : int; close_filtered : int; pull_adds : int; base_adds : int;
+  bytes_join : int; bytes_close : int; bytes_pull : int; bytes_base : int;
+}
+
+val counts : unit -> counts
+
+(** [diff before after] is the field-wise [after - before]: the work
+    done between two readings. *)
+val diff : counts -> counts -> counts
+
 (**/**)
-(* Operation counters: they count computed work only, so a memoised
-   cell adds nothing, and only {!run_in} moves them ({!Batch} hands
-   back its counts).  [n_runs] counts {!run_in} calls;
-   every computed cell is held by its context until {!drop}, which adds
-   the cells it drops to [n_dropped]. *)
-val n_runs : int Atomic.t
-val n_join_adds : int Atomic.t
-val n_close_adds : int Atomic.t
-val n_pull_adds : int Atomic.t
-val n_base_adds : int Atomic.t
-val n_cells : int Atomic.t
-val n_pulls : int Atomic.t
-val n_dropped : int Atomic.t
-
-(* Candidates the exact pre-filters leave out: [n_join_adds] and
-   [n_close_adds] count pushes after them, so pushes plus filtered is
-   the whole product. *)
-val n_join_filtered : int Atomic.t
-val n_close_filtered : int Atomic.t
-
 (* Bytes this domain has allocated so far, counted so that it does not
    move across a garbage collection (unlike [Gc.allocated_bytes] on
    OCaml 5.1): the difference of two readings is exactly what the code
@@ -126,11 +129,13 @@ val allocated_bytes : unit -> float
    §9 "Bytes-moved telemetry"). *)
 val window_bytes : unit -> int
 
-(* Bytes-moved telemetry: [window_bytes] deltas accumulated around
-   each kernel entry point, plus join-build/survivor counts, consumed by
-   `bench/main.exe curve --json` and `merlin-cli route --stats`. *)
+(* The counters {!counts} reads that perfbench still reads one by one;
+   see [counts] for what they count. *)
 val n_joins : int Atomic.t
+val n_join_adds : int Atomic.t
 val n_join_survivors : int Atomic.t
+val n_cells : int Atomic.t
+val n_pulls : int Atomic.t
 val bytes_join : int Atomic.t
 val bytes_close : int Atomic.t
 val bytes_pull : int Atomic.t

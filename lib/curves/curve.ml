@@ -46,8 +46,6 @@ let get c i =
   Solution.make ~req:(Float.Array.get c.req i) ~load:(Float.Array.get c.load i)
     ~area:(Float.Array.get c.area i) c.data.(i)
 
-let to_list c = List.init (size c) (get c)
-
 let of_columns req load area data = { req; load; area; data }
 
 module Builder = struct
@@ -389,11 +387,6 @@ end
 
 (* Only the payloads change: the float columns are shared. *)
 let map_data f c = { c with data = Array.map f c.data }
-
-let iter f c =
-  for i = 0 to size c - 1 do
-    f (get c i)
-  done
 
 let best_req c = if is_empty c then None else Some (get c 0)
 

@@ -6,7 +6,8 @@
     extend and prune these curves; Lemma 9 (pruning loses no non-inferior
     solution) is enforced here and property-tested in
     [test/test_curves.ml] and [test/test_curve_kernel.ml] (observational
-    equivalence against the list-based {!Curve_reference}).
+    equivalence against the list-based oracle in
+    [test/support/curve_reference.ml]).
 
     Every multi-solution curve is built the same way: push a whole
     candidate bag into a {!Builder} and prune it once with
@@ -50,9 +51,6 @@ val singleton : 'a Solution.t -> 'a t
     {!Solution.compare_key} order.  Raises [Invalid_argument] unless
     [0 <= i < size c]. *)
 val get : 'a t -> int -> 'a Solution.t
-
-(** Solutions in {!Solution.compare_key} order. *)
-val to_list : 'a t -> 'a Solution.t list
 
 (** Batch accumulator: push candidate coordinates (and their payloads)
     into structure-of-arrays storage, then prune the whole bag at once.
@@ -137,8 +135,6 @@ end
     hence the frontier — are unchanged, and the result shares [c]'s
     float columns. *)
 val map_data : ('a -> 'b) -> 'a t -> 'b t
-
-val iter : ('a Solution.t -> unit) -> 'a t -> unit
 
 (** Solution with the largest required time, ties broken by smaller load
     then area (the curve's first element). *)

@@ -164,27 +164,7 @@ let run_flow3 ~tech ~buffers ~cfg ~objective (net : Net.t) =
             "objective %a infeasible on the final solution curve"
             Merlin_core.Objective.pp objective))
   | Some out ->
-    let chosen =
-      match objective with
-      | Merlin_core.Objective.Best_req ->
-        (* The paper extracts "the solution with the best trade-off
-           between required time and total buffer area": take the
-           cheapest solution within two quantisation buckets of the best
-           required time. *)
-        let curve = out.Merlin_core.Merlin.curve in
-        let best = out.Merlin_core.Merlin.best in
-        let slack = 2.0 *. cfg.Merlin_core.Config.quant_req in
-        (match
-           Merlin_curves.Curve.best_min_area curve
-             ~req:(best.Merlin_curves.Solution.req -. slack)
-         with
-         | Some s -> s
-         | None -> best)
-      | Merlin_core.Objective.Max_req_under_area _
-      | Merlin_core.Objective.Min_area_over_req _ ->
-        (* A constrained objective already names its curve point. *)
-        out.Merlin_core.Merlin.best
-    in
+    let chosen = Merlin_core.Merlin.pick ~cfg ~objective out in
     metrics_of_tree ~flow:"III:MERLIN" ~tech
       ~loops:out.Merlin_core.Merlin.loops ~runtime net
       chosen.Merlin_curves.Solution.data.Merlin_core.Build.tree

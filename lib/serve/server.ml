@@ -23,8 +23,7 @@
    structured [Refused] reply on the same connection; the socket only
    dies on framing damage we cannot resynchronise from (oversized or
    truncated frames).  A connection-level exception closes that
-   connection and nothing else.  Replies are rendered in the protocol
-   version the request spoke, so v1 clients keep working.
+   connection and nothing else.
 
    Drain/shutdown: [Drain] flips the server to refusing new routes and
    batches ([Refused Draining]) and cancels the queued remainder of
@@ -169,13 +168,13 @@ let emit_frame em payload =
         | () -> ()
         | exception Unix.Unix_error _ -> em.dead <- true)
 
-let send t proto em (reply : Wire.server_msg) =
+let send t em (reply : Wire.server_msg) =
   (match reply with
    | Wire.Refused _ ->
      Mutex.protect t.lock (fun () -> t.refused <- t.refused + 1)
    | Wire.Reply _ | Wire.Progress _ | Wire.Batch_done _ | Wire.Stats_reply _
    | Wire.Pong _ | Wire.Admin_ok _ -> ());
-  emit_frame em (Wire.encode_server ~proto reply)
+  emit_frame em (Wire.encode_server reply)
 
 (* ------------------------------------------------------------------ *)
 (* Single-route dispatch                                               *)
@@ -281,7 +280,7 @@ let handle_batch t em (b : Wire.batch) =
         end)
   in
   if refused then
-    send t Wire.V2 em
+    send t em
       (Wire.Refused
          { job;
            kind = Wire.Draining;
@@ -406,21 +405,21 @@ let request_stop t =
       t.stopping <- true;
       Condition.broadcast t.cond)
 
-let dispatch t proto em (msg : Wire.client_msg) =
+let dispatch t em (msg : Wire.client_msg) =
   match msg with
-  | Wire.Route r -> send t proto em (route t r)
+  | Wire.Route r -> send t em (route t r)
   | Wire.Batch b -> handle_batch t em b
   | Wire.Admin { job; op } -> (
     match op with
     | Wire.Stats ->
-      send t proto em (Wire.Stats_reply { job; stats = stats_json t })
-    | Wire.Ping -> send t proto em (Wire.Pong { job })
+      send t em (Wire.Stats_reply { job; stats = stats_json t })
+    | Wire.Ping -> send t em (Wire.Pong { job })
     | Wire.Drain ->
       Mutex.protect t.lock (fun () -> t.draining <- true);
-      send t proto em (Wire.Admin_ok { job; what = "draining" })
+      send t em (Wire.Admin_ok { job; what = "draining" })
     | Wire.Shutdown ->
       Mutex.protect t.lock (fun () -> t.draining <- true);
-      send t proto em (Wire.Admin_ok { job; what = "shutdown" }))
+      send t em (Wire.Admin_ok { job; what = "shutdown" }))
 
 let handle_connection t fd =
   let em = { fd; em = Mutex.create (); dead = false } in
@@ -431,7 +430,7 @@ let handle_connection t fd =
     | Error (Wire.Oversized n) ->
       (* The stream cannot be resynchronised past an oversized frame:
          refuse loudly, then close. *)
-      send t Wire.V2 em
+      send t em
         (Wire.Refused
            { job = "";
              kind = Wire.Bad_request;
@@ -442,11 +441,11 @@ let handle_connection t fd =
       Mutex.protect t.lock (fun () -> t.requests <- t.requests + 1);
       (match Wire.decode_client payload with
        | Error msg ->
-         send t Wire.V2 em
+         send t em
            (Wire.Refused { job = ""; kind = Wire.Bad_request; message = msg });
          loop ()
-       | Ok (proto, msg) ->
-         dispatch t proto em msg;
+       | Ok msg ->
+         dispatch t em msg;
          (match msg with
           | Wire.Admin { op = Wire.Shutdown; _ } -> request_stop t
           | _ -> ());

@@ -7,8 +7,7 @@
     [store_dir] is set, a persistent {!Store} that survives restarts).
     Every malformed or failing request gets a structured error reply —
     a connection only closes on unrecoverable framing damage or peer
-    EOF — and replies are rendered in the protocol version the request
-    spoke, so v1 clients keep working.
+    EOF.
 
     A {!Wire.Batch} request fans its nets over the pool and streams one
     {!Wire.Progress} frame per net plus a terminal {!Wire.Batch_done}

@@ -9,21 +9,17 @@
    ["job"] (client-chosen correlation id, echoed on every frame of the
    job — "" where no job applies), ["seq"] (frame ordinal within the
    job's reply stream; 0 on single-frame exchanges) and ["type"].
-   Version 2 adds multi-frame jobs: a [Batch] request carries a whole
+   Multi-frame jobs: a [Batch] request carries a whole
    netlist and streams back one [Progress] frame per net plus a
    terminal [Batch_done] summary, with an optional fingerprint
    manifest turning the batch into an ECO re-route (nets whose
    {!Merlin_net.Net_io.fingerprint} matches the manifest are answered
    [Unchanged] without computing).
 
-   Decoders are version-dispatched and total — version-1 single-route
-   frames still decode (the v1 [id] field becomes [job], admin frames
-   get job ""), and malformed input of any version becomes an [Error]
-   the server answers with a structured [Refused], never an exception
-   and never a dead socket.  [encode_server ~proto] renders replies in
-   the peer's protocol version so v1 clients keep working; the v1
-   grammar has no multi-frame kinds, so rendering [Progress] or
-   [Batch_done] as v1 is a caller bug and raises.
+   Version 2 is the only grammar: a frame whose ["v"] is anything else
+   (version 1 included) decodes to an [Error] naming version 2, which
+   the server answers with a structured [Refused] like any other
+   malformed input, never an exception and never a dead socket.
 
    The routing problem travels as a {!Merlin_flows.Flows.spec}
    (tech + buffer library + algorithm knobs) plus the net in its
@@ -31,8 +27,7 @@
    these two: [request_key] hashes the canonical spec JSON together
    with the net fingerprint, so a key separates any two requests that
    could legally produce different answers (different sink order,
-   different tech, different knobs) and nothing else — and it is
-   version-independent, so a v2 daemon's store serves v1 traffic. *)
+   different tech, different knobs) and nothing else. *)
 
 open Merlin_tech
 open Merlin_net
@@ -42,7 +37,10 @@ module Metrics = Merlin_report.Metrics
 
 let version = 2
 
-type proto = V1 | V2
+(* The first component of [decode_server]'s result.  perfbench
+   destructures that pair; the benchmark change that takes perfbench
+   off it (ROADMAP item 5) removes this type. *)
+type proto = V2
 
 (* ------------------------------------------------------------------ *)
 (* Types                                                               *)
@@ -456,13 +454,16 @@ let error_kind_to_string = function
   | Draining -> "draining"
   | Internal -> "internal"
 
-let error_kind_of_string = function
-  | "bad-request" -> Some Bad_request
-  | "infeasible" -> Some Infeasible
-  | "timeout" -> Some Timeout
-  | "draining" -> Some Draining
-  | "internal" -> Some Internal
-  | _ -> None
+(* The ["kind"] field of an error or a failed net. *)
+let fkind j =
+  let* kind = fstr "kind" j in
+  match kind with
+  | "bad-request" -> Ok Bad_request
+  | "infeasible" -> Ok Infeasible
+  | "timeout" -> Ok Timeout
+  | "draining" -> Ok Draining
+  | "internal" -> Ok Internal
+  | other -> Error (Printf.sprintf "error kind %S" other)
 
 let admin_type = function
   | Stats -> "stats"
@@ -491,6 +492,18 @@ let envelope ~job ~seq ty fields =
     :: ("seq", int seq)
     :: ("type", Json.Str ty)
     :: fields)
+
+(* The envelope's job and type.  A frame of any other version is refused
+   here, before its type is looked at. *)
+let envelope_of_json j =
+  let* v = fint "v" j in
+  if v <> version then
+    Error
+      (Printf.sprintf "protocol version %d unsupported (expected %d)" v version)
+  else
+    let* job = fstr "job" j in
+    let* ty = fstr "type" j in
+    Ok (job, ty)
 
 (* ------------------------------------------------------------------ *)
 (* Client messages                                                     *)
@@ -547,7 +560,7 @@ let decode_named_list ~what ~value_field decode_value j =
         (fun acc item ->
            let* acc = acc in
            let* name = fstr "name" item in
-           let* v = Result.bind (field value_field item) decode_value in
+           let* v = Result.bind (fstr value_field item) decode_value in
            Ok ((name, v) :: acc))
         (Ok []) items
     in
@@ -557,10 +570,7 @@ let decode_batch_body ~job j =
   let* spec = Result.bind (field "spec" j) spec_of_json in
   let* nets =
     Result.bind (field "nets" j)
-      (decode_named_list ~what:"nets" ~value_field:"net" (fun v ->
-           match Json.to_str v with
-           | Some text -> net_of_text text
-           | None -> Error "field \"net\": expected a string"))
+      (decode_named_list ~what:"nets" ~value_field:"net" net_of_text)
   in
   let* deadline_s = fnum_opt "deadline_s" j in
   let* want_tree = fbool_opt ~default:false "want_tree" j in
@@ -570,17 +580,12 @@ let decode_batch_body ~job j =
     | Some m ->
       Result.map Option.some
         (decode_named_list ~what:"manifest" ~value_field:"fingerprint"
-           (fun v ->
-              match Json.to_str v with
-              | Some fp -> Ok fp
-              | None -> Error "field \"fingerprint\": expected a string")
-           m)
+           Result.ok m)
   in
   Ok (Batch { job; spec; nets; deadline_s; want_tree; manifest })
 
-let client_msg_of_v2 j =
-  let* job = fstr "job" j in
-  let* ty = fstr "type" j in
+let client_msg_of_json j =
+  let* job, ty = envelope_of_json j in
   match ty with
   | "stats" -> Ok (Admin { job; op = Stats })
   | "ping" -> Ok (Admin { job; op = Ping })
@@ -592,33 +597,6 @@ let client_msg_of_v2 j =
     Error
       (Printf.sprintf
          "message type %S (route|batch|stats|ping|drain|shutdown)" other)
-
-(* v1 compatibility: the pre-envelope grammar.  [id] becomes [job];
-   admin frames carried no correlation id, so they map to job "". *)
-let client_msg_of_v1 j =
-  let* ty = fstr "type" j in
-  match ty with
-  | "stats" -> Ok (Admin { job = ""; op = Stats })
-  | "ping" -> Ok (Admin { job = ""; op = Ping })
-  | "drain" -> Ok (Admin { job = ""; op = Drain })
-  | "shutdown" -> Ok (Admin { job = ""; op = Shutdown })
-  | "route" ->
-    let* job = fstr "id" j in
-    decode_route_body ~job j
-  | other ->
-    Error
-      (Printf.sprintf "message type %S (route|stats|ping|drain|shutdown)"
-         other)
-
-let client_msg_of_json j =
-  let* v = fint "v" j in
-  match v with
-  | 1 -> Result.map (fun m -> (V1, m)) (client_msg_of_v1 j)
-  | 2 -> Result.map (fun m -> (V2, m)) (client_msg_of_v2 j)
-  | v ->
-    Error
-      (Printf.sprintf "protocol version %d unsupported (expected 1 or %d)" v
-         version)
 
 (* ------------------------------------------------------------------ *)
 (* Server messages                                                     *)
@@ -648,12 +626,7 @@ let status_of_json j =
     Ok (Routed { cached; metrics })
   | "unchanged" -> Ok Unchanged
   | "failed" ->
-    let* kind_s = fstr "kind" j in
-    let* kind =
-      match error_kind_of_string kind_s with
-      | Some k -> Ok k
-      | None -> Error (Printf.sprintf "error kind %S" kind_s)
-    in
+    let* kind = fkind j in
     let* message = fstr "message" j in
     Ok (Net_failed { kind; message })
   | "cancelled" -> Ok Cancelled
@@ -681,7 +654,7 @@ let summary_of_json j =
   let* wall_s = fnum "wall_s" j in
   Ok { total; routed; hits; unchanged; failed; cancelled; wall_s }
 
-let server_msg_to_v2_json (m : server_msg) =
+let server_msg_to_json (m : server_msg) =
   match m with
   | Reply { job; cached; metrics } ->
     envelope ~job ~seq:0 "reply"
@@ -703,32 +676,8 @@ let server_msg_to_v2_json (m : server_msg) =
   | Admin_ok { job; what } ->
     envelope ~job ~seq:0 "ok" [ ("what", Json.Str what) ]
 
-(* Replies rendered for a v1 peer: the pre-envelope grammar.  The v1
-   grammar cannot express multi-frame kinds — and a v1 peer cannot have
-   sent the [Batch] that produces them — so asking for one is a caller
-   bug, not a protocol state. *)
-let server_msg_to_v1_json (m : server_msg) =
-  let v1 ty fields = Json.Obj (("v", int 1) :: ("type", Json.Str ty) :: fields) in
-  match m with
-  | Reply { job; cached; metrics } ->
-    v1 "reply"
-      [ ("id", Json.Str job);
-        ("cached", Json.Bool (match cached with Hit -> true | Miss -> false));
-        ("metrics", Metrics.to_json metrics) ]
-  | Refused { job; kind; message } ->
-    v1 "error"
-      ((if String.equal job "" then [] else [ ("id", Json.Str job) ])
-      @ [ ("kind", Json.Str (error_kind_to_string kind));
-          ("message", Json.Str message) ])
-  | Stats_reply { stats; _ } -> v1 "stats" [ ("stats", stats) ]
-  | Pong _ -> v1 "pong" []
-  | Admin_ok { what; _ } -> v1 "ok" [ ("what", Json.Str what) ]
-  | Progress _ | Batch_done _ ->
-    invalid_arg "Wire.encode_server: v1 cannot carry multi-frame replies"
-
-let server_msg_of_v2 j =
-  let* job = fstr "job" j in
-  let* ty = fstr "type" j in
+let server_msg_of_json j =
+  let* job, ty = envelope_of_json j in
   match ty with
   | "pong" -> Ok (Pong { job })
   | "ok" ->
@@ -752,12 +701,7 @@ let server_msg_of_v2 j =
     let* summary = Result.bind (field "summary" j) summary_of_json in
     Ok (Batch_done { job; seq; summary })
   | "error" ->
-    let* kind_s = fstr "kind" j in
-    let* kind =
-      match error_kind_of_string kind_s with
-      | Some k -> Ok k
-      | None -> Error (Printf.sprintf "error kind %S" kind_s)
-    in
+    let* kind = fkind j in
     let* message = fstr "message" j in
     Ok (Refused { job; kind; message })
   | other ->
@@ -765,44 +709,6 @@ let server_msg_of_v2 j =
       (Printf.sprintf
          "message type %S (reply|progress|batch-done|error|stats|pong|ok)"
          other)
-
-let server_msg_of_v1 j =
-  let* ty = fstr "type" j in
-  match ty with
-  | "pong" -> Ok (Pong { job = "" })
-  | "ok" ->
-    let* what = fstr "what" j in
-    Ok (Admin_ok { job = ""; what })
-  | "stats" ->
-    let* stats = field "stats" j in
-    Ok (Stats_reply { job = ""; stats })
-  | "reply" ->
-    let* job = fstr "id" j in
-    let* cached = Result.bind (field "cached" j) decode_cached in
-    let* metrics = Result.bind (field "metrics" j) Metrics.of_json in
-    Ok (Reply { job; cached; metrics })
-  | "error" ->
-    let* kind_s = fstr "kind" j in
-    let* kind =
-      match error_kind_of_string kind_s with
-      | Some k -> Ok k
-      | None -> Error (Printf.sprintf "error kind %S" kind_s)
-    in
-    let* message = fstr "message" j in
-    let job = Option.value (Option.bind (Json.member "id" j) Json.to_str) ~default:"" in
-    Ok (Refused { job; kind; message })
-  | other ->
-    Error (Printf.sprintf "message type %S (reply|error|stats|pong|ok)" other)
-
-let server_msg_of_json j =
-  let* v = fint "v" j in
-  match v with
-  | 1 -> Result.map (fun m -> (V1, m)) (server_msg_of_v1 j)
-  | 2 -> Result.map (fun m -> (V2, m)) (server_msg_of_v2 j)
-  | v ->
-    Error
-      (Printf.sprintf "protocol version %d unsupported (expected 1 or %d)" v
-         version)
 
 (* ------------------------------------------------------------------ *)
 (* Entry points                                                        *)
@@ -815,15 +721,12 @@ let decode_client text =
 
 let decode_server text =
   match Json.of_string text with
-  | j -> server_msg_of_json j
+  | j -> Result.map (fun m -> (V2, m)) (server_msg_of_json j)
   | exception Json.Parse_error msg -> Error msg
 
 let encode_client m = Json.to_string (client_msg_to_json m)
 
-let encode_server ?(proto = V2) m =
-  match proto with
-  | V2 -> Json.to_string (server_msg_to_v2_json m)
-  | V1 -> Json.to_string (server_msg_to_v1_json m)
+let encode_server m = Json.to_string (server_msg_to_json m)
 
 (* ------------------------------------------------------------------ *)
 (* Framing                                                             *)

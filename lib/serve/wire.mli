@@ -5,25 +5,24 @@
     [v], a [job] correlation id echoed on every frame of that job, a
     [seq] frame ordinal (0 on single-frame exchanges) and [type].
 
-    Version 2 adds multi-frame jobs: a {!Batch} request carries a whole
-    netlist and streams back one {!Progress} frame per net plus a
-    terminal {!Batch_done} summary; an optional fingerprint manifest
-    turns the batch into an ECO re-route where unchanged nets are
-    answered {!Unchanged} without computing.  Decoders are
-    version-dispatched and total — version-1 frames still decode (the
-    v1 [id] becomes [job]; v1 admin frames get job [""]), and malformed
-    input of any version yields a structured [Error], never an
-    exception or a dead socket.
+    Multi-frame jobs: a {!Batch} request carries a whole netlist and
+    streams back one {!Progress} frame per net plus a terminal
+    {!Batch_done} summary; an optional fingerprint manifest turns the
+    batch into an ECO re-route where unchanged nets are answered
+    {!Unchanged} without computing.  Decoders are total: a frame of
+    any other version (version 1 included) or any malformed input
+    yields a structured [Error], never an exception or a dead socket.
 
     The routing problem travels as a {!Merlin_flows.Flows.spec} plus
     the net in canonical {!Merlin_net.Net_io} text; {!request_key}
     hashes exactly those two, which makes it the cache key: it
     separates requests that could legally differ (sink order, tech,
-    knobs) and nothing else, and is identical across protocol versions
-    so one persistent store serves both. *)
+    knobs) and nothing else. *)
 
-(** Protocol version spoken by a peer, as learned from its frames. *)
-type proto = V1 | V2
+(** The first component of {!decode_server}'s result, always [V2].
+    perfbench destructures that pair; the benchmark change that takes
+    perfbench off it (ROADMAP item 5) removes this type. *)
+type proto = V2
 
 type request = {
   job : string;  (** client-chosen, echoed in the reply *)
@@ -106,7 +105,7 @@ type server_msg =
   | Admin_ok of { job : string; what : string }
 
 (** [request_key spec net] — hex digest identifying the routing problem;
-    the cache key of both tiers.  Version-independent. *)
+    the cache key of both tiers. *)
 val request_key : Merlin_flows.Flows.spec -> Merlin_net.Net.t -> string
 
 val spec_to_json : Merlin_flows.Flows.spec -> Merlin_report.Json.t
@@ -119,16 +118,11 @@ val error_kind_to_string : error_kind -> string
 (** Always encodes version 2. *)
 val encode_client : client_msg -> string
 
-(** Accepts versions 1 and 2; reports which one the frame spoke so the
-    server can answer in kind. *)
-val decode_client : string -> (proto * client_msg, string) result
+(** Accepts version 2 only; any other version is an [Error] naming
+    version 2. *)
+val decode_client : string -> (client_msg, string) result
 
-(** [encode_server ?proto m] renders [m] for a peer speaking [proto]
-    (default [V2]).  The v1 grammar has no multi-frame kinds, so
-    encoding {!Progress} or {!Batch_done} as [V1] raises
-    [Invalid_argument] — a v1 peer cannot have sent the batch that
-    produces them. *)
-val encode_server : ?proto:proto -> server_msg -> string
+val encode_server : server_msg -> string
 
 val decode_server : string -> (proto * server_msg, string) result
 

@@ -12,6 +12,8 @@
    - a request with a tiny deadline gets a structured timeout reply and
      the daemon keeps serving afterwards;
    - the TCP listener answers;
+   - a version-1 frame gets a structured bad-request refusal and the
+     same connection keeps serving v2;
    - a whole-netlist batch streams one progress frame per net and is
      byte-identical to per-net [Flows.run] at every pool size tested
      (-j 1, 2 and 4);
@@ -324,6 +326,26 @@ let () =
      ping ~ctx:"tcp ping" tcp;
      Serve.Client.close tcp);
   print_endline "smoke: TCP listener answers";
+
+  (* --- a v1 frame is refused like any malformed one; v2 still served --- *)
+  let raw = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect raw (Unix.ADDR_UNIX socket_path);
+  let raw_call payload =
+    Serve.Wire.write_frame raw payload;
+    match Result.map Serve.Wire.decode_server (Serve.Wire.read_frame raw) with
+    | Ok (Ok (_, m)) -> m
+    | Ok (Error msg) -> fail "raw frame: %s" msg
+    | Error _ -> fail "raw frame: connection closed"
+  in
+  (match raw_call {|{"v":1,"type":"ping"}|} with
+   | Serve.Wire.Refused { kind = Serve.Wire.Bad_request; job = ""; _ } -> ()
+   | other -> fail "v1 ping: got %s" (Serve.Wire.encode_server other));
+  let v2_ping = Serve.Wire.Admin { job = "after-v1"; op = Serve.Wire.Ping } in
+  (match raw_call (Serve.Wire.encode_client v2_ping) with
+   | Serve.Wire.Pong { job = "after-v1" } -> ()
+   | other -> fail "v2 ping after v1: got %s" (Serve.Wire.encode_server other));
+  Unix.close raw;
+  print_endline "smoke: v1 frame refused, connection still serves v2";
 
   (* --- batch: byte-identical to per-net runs at every pool size --- *)
   List.iter

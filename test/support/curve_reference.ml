@@ -4,6 +4,8 @@
    batch kernel in Curve is observationally equivalent to this module
    on random solution bags.  Not used by any DP core. *)
 
+open Merlin_curves
+
 type 'a t = 'a Solution.t list
 (* Invariant: sorted by Solution.compare_key; pairwise non-dominated. *)
 
@@ -16,7 +18,7 @@ let empty = []
 
 let size = List.length
 
-let to_list c = c
+let of_curve c = List.init (Curve.size c) (Curve.get c)
 
 (* Single pass exploiting the sort order: an element before the insertion
    point (higher req, or equal req with no worse load/area) can dominate

@@ -1,8 +1,11 @@
 (** The pre-batch, list-based curve implementation, retained as the
     executable specification for the array-backed batch kernel in
-    {!Curve}.  [test/test_curve_kernel.ml] property-tests that both
-    produce identical frontiers (same solutions, same order, same
-    tie-breaks) for every batch operation.  Not used by the DP cores. *)
+    {!Merlin_curves.Curve}.  [test/test_curve_kernel.ml] property-tests
+    that both produce identical frontiers (same solutions, same order,
+    same tie-breaks) for every batch operation.  Test support: not
+    used by the DP cores. *)
+
+open Merlin_curves
 
 type 'a t = 'a Solution.t list
 
@@ -15,7 +18,9 @@ val empty : 'a t
 
 val size : 'a t -> int
 
-val to_list : 'a t -> 'a Solution.t list
+(** [of_curve c] is [c]'s points in {!Merlin_curves.Solution.compare_key}
+    order, each built with {!Merlin_curves.Curve.get}. *)
+val of_curve : 'a Curve.t -> 'a t
 
 (** Incremental insert with domination pruning — the O(frontier) list
     rebuild the batch kernel replaces. *)

@@ -113,12 +113,12 @@ let test_star_single_sink () =
   let out = star_run net [| Star_ptree.Sink_term (Net.sink net 0) |] in
   Array.iter
     (fun curve ->
-       Curve.iter
+       List.iter
          (fun sol ->
             let tree = sol.Solution.data.Build.tree in
             Alcotest.(check (list int)) "covers sink 0" [ 0 ]
               (Rtree.sink_ids_in_order tree))
-         curve)
+         (Curve_reference.of_curve curve))
     out;
   Alcotest.(check bool) "some curve nonempty" true
     (Array.exists (fun c -> not (Curve.is_empty c)) out)
@@ -131,11 +131,11 @@ let test_star_order_preserved () =
   let out = star_run net terminals in
   Array.iter
     (fun curve ->
-       Curve.iter
+       List.iter
          (fun sol ->
             Alcotest.(check (list int)) "terminal order preserved" [ 0; 1; 2; 3 ]
               (Rtree.sink_ids_in_order sol.Solution.data.Build.tree))
-         curve)
+         (Curve_reference.of_curve curve))
     out
 
 let test_star_internal_consistency () =
@@ -145,13 +145,13 @@ let test_star_internal_consistency () =
   let out = star_run net terminals in
   Array.iter
     (fun curve ->
-       Curve.iter
+       List.iter
          (fun sol ->
             let ev = Eval.subtree tech sol.Solution.data.Build.tree in
             Alcotest.(check (float 1e-6)) "req" ev.Eval.req sol.Solution.req;
             Alcotest.(check (float 1e-6)) "load" ev.Eval.load sol.Solution.load;
             Alcotest.(check (float 1e-6)) "area" ev.Eval.buf_area sol.Solution.area)
-         curve)
+         (Curve_reference.of_curve curve))
     out
 
 (* Structural equality of the trees a solution carries: sinks by id
@@ -224,7 +224,7 @@ let prop_star_context_memo (seed, script) =
             && rtree_equal x.Solution.data.Build.tree y.Solution.data.Build.tree
             && List.equal member_equal x.Solution.data.Build.members
                  y.Solution.data.Build.members)
-         (Curve.to_list a) (Curve.to_list b)
+         (Curve_reference.of_curve a) (Curve_reference.of_curve b)
   in
   List.for_all
     (fun _ ->
@@ -379,7 +379,7 @@ let same_points x y =
           && rtree_equal s.Solution.data.Build.tree t.Solution.data.Build.tree
           && List.equal member_equal s.Solution.data.Build.members
                t.Solution.data.Build.members)
-       (Curve.to_list x) (Curve.to_list y)
+       (Curve_reference.of_curve x) (Curve_reference.of_curve y)
 
 let push_quantised bld (req_grid, load_grid, area_grid) ~req ~load ~area data =
   let q =
@@ -419,16 +419,16 @@ let prop_join_prefilter seed =
   let product = ref 0 in
   List.iter
     (fun (left, right) ->
-       Curve.iter
+       List.iter
          (fun a ->
-            Curve.iter
+            List.iter
               (fun b ->
                  let t = Build.join root a b in
                  push_quantised reference quant ~req:t.Solution.req
                    ~load:t.Solution.load ~area:t.Solution.area t.Solution.data;
                  incr product)
-              right)
-         left)
+              (Curve_reference.of_curve right))
+         (Curve_reference.of_curve left))
     splits;
   let expected = Curve.Builder.build ~max_size:max_curve reference in
   let batch = Batch.create ~tech ~subset:[||] ~max_curve ~quant in
@@ -484,7 +484,7 @@ let prop_close_prefilter seed =
   let reference = Curve.Builder.create () in
   Curve.Builder.add_curve reference curve;
   let trials = ref 0 in
-  Curve.iter
+  List.iter
     (fun s ->
        match s.Solution.data.Build.tree with
        | Rtree.Node { buffer = Some _; _ } when not rebuffer -> ()
@@ -496,7 +496,7 @@ let prop_close_prefilter seed =
                 ~load:t.Solution.load ~area:t.Solution.area t.Solution.data;
               incr trials)
            subset)
-    curve;
+    (Curve_reference.of_curve curve);
   let expected = Curve.Builder.build ~max_size:max_curve reference in
   let batch = Batch.create ~tech ~subset ~max_curve ~quant in
   let got = Batch.close batch ~rebuffer curve in
@@ -567,8 +567,8 @@ let test_exact_mode_max_int () =
           && rtree_equal s.Solution.data.Build.tree t.Solution.data.Build.tree
           && List.equal member_equal s.Solution.data.Build.members
                t.Solution.data.Build.members)
-       (Curve.to_list wide.Merlin.curve)
-       (Curve.to_list widest.Merlin.curve));
+       (Curve_reference.of_curve wide.Merlin.curve)
+       (Curve_reference.of_curve widest.Merlin.curve));
   Alcotest.(check bool) "same route" true
     (rtree_equal wide.Merlin.tree widest.Merlin.tree
      && String.equal (hierarchy wide) (hierarchy widest))
@@ -588,7 +588,7 @@ let test_bubble_valid_and_in_neighborhood () =
        let r = construct net order in
        Alcotest.(check bool) "final curve nonempty" false
          (Curve.is_empty r.Bubble_construct.curve);
-       Curve.iter
+       List.iter
          (fun sol ->
             let tree = sol.Solution.data.Build.tree in
             Alcotest.(check bool) "tree covers the net" true (Check.is_valid net tree);
@@ -601,7 +601,7 @@ let test_bubble_valid_and_in_neighborhood () =
             Alcotest.(check (list int)) "hierarchy order = tree DFS order"
               (Catree.sinks_in_order h)
               (Rtree.sink_ids_in_order tree))
-         r.Bubble_construct.curve)
+         (Curve_reference.of_curve r.Bubble_construct.curve))
     [ (2, 3); (3, 4); (4, 5); (5, 6) ]
 
 let test_bubble_pessimistic_req () =
@@ -609,14 +609,14 @@ let test_bubble_pessimistic_req () =
      engine's claim never exceeds what the evaluator certifies. *)
   let net = mk_net 4 8 in
   let r = construct net (Tsp.order net) in
-  Curve.iter
+  List.iter
     (fun sol ->
        let ev = Eval.net tech net sol.Solution.data.Build.tree in
        Alcotest.(check bool) "engine req <= eval req" true
          (sol.Solution.req <= ev.Eval.root_req +. 1e-6);
        Alcotest.(check bool) "engine area >= eval area" true
          (sol.Solution.area >= ev.Eval.area -. 1e-6))
-    r.Bubble_construct.curve
+    (Curve_reference.of_curve r.Bubble_construct.curve)
 
 let test_bubble_covers_swap () =
   (* Lemma 6 witness: two sinks whose optimal connection order is the
@@ -627,7 +627,7 @@ let test_bubble_covers_swap () =
   (* Give the engine the "wrong" order (s0 before s1). *)
   let r = construct net (Order.of_list [ 0; 1 ]) in
   let orders =
-    Curve.to_list r.Bubble_construct.curve
+    Curve_reference.of_curve r.Bubble_construct.curve
     |> List.map (fun sol -> Order.to_list (Bubble_construct.realized_order sol))
     |> List.sort_uniq (List.compare Int.compare)
   in
@@ -658,19 +658,30 @@ let test_bubble_drops_every_cell () =
      last merge, whichever side of it the chain sits. *)
   List.iter
     (fun (n, seed, cfg) ->
-       let cells = Atomic.get Star_ptree.n_cells
-       and dropped = Atomic.get Star_ptree.n_dropped in
+       let before = Star_ptree.counts () in
        ignore (construct ~cfg (mk_net n seed) (Order.identity n));
+       let d = Star_ptree.diff before (Star_ptree.counts ()) in
        Alcotest.(check int)
          (Printf.sprintf "n=%d seed=%d: cells held after construct" n seed)
-         (Atomic.get Star_ptree.n_cells - cells)
-         (Atomic.get Star_ptree.n_dropped - dropped))
+         d.Star_ptree.cells d.Star_ptree.dropped)
     [ (1, 2, tiny_cfg);
       (2, 3, tiny_cfg);
       (5, 4, tiny_cfg);
       (7, 5, tiny_cfg);
       (6, 6, { tiny_cfg with Config.chain_placement = Config.All_positions });
       (6, 7, { tiny_cfg with Config.bubbling = false }) ]
+
+(* The snapshot reads the same counters as the code that still reads
+   them one by one. *)
+let test_counts_snapshot () =
+  ignore (construct (mk_net 5 4) (Order.identity 5));
+  let c = Star_ptree.counts () in
+  Alcotest.(check (list int)) "counters"
+    (List.map Atomic.get
+       Star_ptree.[ n_joins; n_join_adds; n_join_survivors; n_cells; n_pulls;
+                    bytes_join; bytes_close; bytes_pull; bytes_base ])
+    [ c.joins; c.join_adds; c.join_survivors; c.cells; c.pulls; c.bytes_join;
+      c.bytes_close; c.bytes_pull; c.bytes_base ]
 
 (* ---------- Merlin ---------- *)
 
@@ -683,11 +694,11 @@ let test_bubbling_off_keeps_order () =
        let net = mk_net 4 seed in
        let order = Tsp.order net in
        let r = Bubble_construct.construct ~cfg ~tech ~buffers net order in
-       Curve.iter
+       List.iter
          (fun sol ->
             Alcotest.(check (list int)) "order fixed" (Order.to_list order)
               (Order.to_list (Bubble_construct.realized_order sol)))
-         r.Bubble_construct.curve)
+         (Curve_reference.of_curve r.Bubble_construct.curve))
     [ 3; 9; 21 ]
 
 let test_merlin_converges () =
@@ -794,6 +805,7 @@ let suite =
       Alcotest.test_case "bubble: single sink" `Quick test_single_sink_net;
       Alcotest.test_case "bubble: context drops every cell" `Quick
         test_bubble_drops_every_cell;
+      Alcotest.test_case "star: counts snapshot" `Quick test_counts_snapshot;
       Alcotest.test_case "bubbling off keeps order" `Quick test_bubbling_off_keeps_order;
       Alcotest.test_case "merlin converges (Thm 7)" `Slow test_merlin_converges;
       Alcotest.test_case "merlin area budget (variant I)" `Quick

@@ -29,15 +29,12 @@ let arb_bag =
 let bag_to_sols bag =
   List.mapi (fun i (r, l, a) -> sol ~data:i r l a) bag
 
-let obs c =
-  List.map
-    (fun s -> (s.Solution.req, s.Solution.load, s.Solution.area, s.Solution.data))
-    (Curve.to_list c)
-
 let obs_ref c =
   List.map
     (fun s -> (s.Solution.req, s.Solution.load, s.Solution.area, s.Solution.data))
-    (Curve_reference.to_list c)
+    c
+
+let obs c = obs_ref (Curve_reference.of_curve c)
 
 (* Observations compare exactly, with dedicated equalities:
    coordinates by Float.equal, tie winners by push index. *)
@@ -98,7 +95,9 @@ let equiv =
          List.iter (Curve.Builder.add bld) (bag_to_sols b0);
          ignore (Curve.Builder.build bld);
          Curve.Builder.clear bld;
-         Curve.iter (fun s -> Curve.Builder.add bld (shift s)) (of_list sols);
+         List.iter
+           (fun s -> Curve.Builder.add bld (shift s))
+           (Curve_reference.of_curve (of_list sols));
          same_obs
            (obs (Curve.Builder.build bld))
            (obs_ref
@@ -135,7 +134,7 @@ let equiv =
               i)
         in
         List.equal Int.equal (List.rev !seen)
-          (List.map (fun s -> s.Solution.data) (Curve.to_list c))
+          (List.map (fun s -> s.Solution.data) (Curve_reference.of_curve c))
         && Int.equal (Curve.Builder.kept bld)
              (Curve_reference.size (Curve_reference.of_list sols)));
     qtest "quantise-then-push, capped = capped quantise-then-add reference"
@@ -238,7 +237,8 @@ let same_bits xs ys =
     xs ys
 
 (* The one-point view agrees with the columns it is read from. *)
-let view_agrees c = same_bits (bits_of_sols (Curve.to_list c)) (columns c)
+let view_agrees c =
+  same_bits (bits_of_sols (Curve_reference.of_curve c)) (columns c)
 
 (* Bags for the bitwise oracles: integer-valued coordinates, dense in
    ties and dominations, or continuous ones; a flat bag has zero areas,
@@ -394,7 +394,8 @@ let test_cap_preserves_extremes () =
     let c = of_list bag in
     if Curve.size c > 6 then begin
       let capped = of_list ~max_size:6 bag in
-      let full = Curve.to_list c and kept = Curve.to_list capped in
+      let full = Curve_reference.of_curve c
+      and kept = Curve_reference.of_curve capped in
       let extreme proj =
         List.fold_left
           (fun acc s -> if proj s < proj acc then s else acc)

@@ -22,6 +22,9 @@ let of_list ?max_size sols =
   List.iter (Curve.Builder.add b) sols;
   Curve.Builder.build ?max_size b
 
+(* A curve's points in curve order. *)
+let points = Curve_reference.of_curve
+
 let qtest name ?(count = 300) arb prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~name ~count arb prop)
 
@@ -51,7 +54,7 @@ let brute_frontier sols =
    of Curve.Builder.build (or Contract's cross-check) it judges.  Equal
    coordinates never dominate each other. *)
 let non_inferior c =
-  let arr = Array.of_list (Curve.to_list c) in
+  let arr = Array.of_list (points c) in
   let beats x s =
     x.Solution.req >= s.Solution.req && x.Solution.load <= s.Solution.load
     && x.Solution.area <= s.Solution.area
@@ -67,7 +70,7 @@ let key_sorted c =
     | [] | [ _ ] -> true
     | a :: (b :: _ as rest) -> Solution.compare_key a b < 0 && ok rest
   in
-  ok (Curve.to_list c)
+  ok (points c)
 
 let invariants c = non_inferior c && key_sorted c
 
@@ -80,7 +83,7 @@ let test_dominates () =
 let test_add_prunes () =
   let c = of_list [ sol 10.0 2.0 3.0; sol 8.0 4.0 5.0 ] in
   Alcotest.(check int) "dominated dropped" 1 (Curve.size c);
-  let c = of_list (sol 12.0 1.0 1.0 :: Curve.to_list c) in
+  let c = of_list (sol 12.0 1.0 1.0 :: points c) in
   Alcotest.(check int) "new dominator replaces" 1 (Curve.size c)
 
 let test_incomparable_kept () =
@@ -112,7 +115,7 @@ let test_cap_keeps_extremes () =
   Alcotest.(check int) "full frontier" 20 (Curve.size (of_list sols));
   let capped = of_list ~max_size:5 sols in
   Alcotest.(check bool) "within cap" true (Curve.size capped <= 5);
-  let reqs = List.map (fun s -> s.Solution.req) (Curve.to_list capped) in
+  let reqs = List.map (fun s -> s.Solution.req) (points capped) in
   Alcotest.(check bool) "max req kept" true (List.mem 19.0 reqs);
   Alcotest.(check bool) "min load kept" true (List.mem 0.0 reqs)
 
@@ -124,7 +127,7 @@ let test_cap_keeps_min_area () =
       (List.init 30 (fun i ->
            sol (float_of_int i) (float_of_int i) (float_of_int i)))
   in
-  let areas = List.map (fun s -> s.Solution.area) (Curve.to_list capped) in
+  let areas = List.map (fun s -> s.Solution.area) (points capped) in
   Alcotest.(check bool) "min area kept" true (List.mem 0.0 areas)
 
 let test_quantise_pessimistic () =
@@ -167,7 +170,7 @@ let props =
         (Option.get (Curve.best_req c)).Solution.req = best);
     qtest "merged curves = of_list of concat" (QCheck.pair arb_sols arb_sols)
       (fun (a, b) ->
-         let u = of_list (Curve.to_list (of_list a) @ Curve.to_list (of_list b)) in
+         let u = of_list (points (of_list a) @ points (of_list b)) in
          Curve.size u = Curve.size (of_list (a @ b)));
     qtest "cap never exceeds" arb_sols (fun sols ->
         Curve.size (of_list ~max_size:4 sols) <= 4);
@@ -177,7 +180,7 @@ let props =
       (QCheck.pair arb_sols arb_sols)
       (fun (a, b) ->
          invariants
-           (of_list (Curve.to_list (of_list a) @ Curve.to_list (of_list b))));
+           (of_list (points (of_list a) @ points (of_list b))));
     qtest "cap satisfies curve invariants" arb_sols (fun sols ->
         invariants (of_list ~max_size:4 sols));
     (* The *PTREE DP quantises every candidate as it pushes it
@@ -204,20 +207,20 @@ let props =
            (fun () ->
               let c =
                 of_list ~max_size:4
-                  (Curve.to_list (of_list a) @ Curve.to_list (of_list b))
+                  (points (of_list a) @ points (of_list b))
               in
               (* Re-pushed quantised, as the *PTREE DP pushes every
                  candidate. *)
               let quantise =
                 Solution.quantise ~req_grid:3.0 ~load_grid:2.0 ~area_grid:5.0
               in
-              invariants (of_list (List.map quantise (Curve.to_list c)))));
+              invariants (of_list (List.map quantise (points c)))));
     qtest "best_under_area matches brute force"
       (QCheck.pair arb_sols (QCheck.float_range 0.0 20.0))
       (fun (sols, budget) ->
          let c = of_list sols in
          let brute =
-           List.filter (fun s -> s.Solution.area <= budget) (Curve.to_list c)
+           List.filter (fun s -> s.Solution.area <= budget) (points c)
            |> List.fold_left
                 (fun acc s ->
                    match acc with

@@ -43,7 +43,7 @@ let test_curve_contains_unbuffered () =
   let c = VG.curve ~tech ~buffers tree in
   Alcotest.(check bool) "frontier" true (Test_curves.non_inferior c);
   let zero_area =
-    Curve.to_list c |> List.exists (fun s -> s.Solution.area = 0.0)
+    Curve_reference.of_curve c |> List.exists (fun s -> s.Solution.area = 0.0)
   in
   Alcotest.(check bool) "area-0 (unbuffered) point survives" true zero_area
 
@@ -85,12 +85,12 @@ let test_sink_on_source () =
   let net = Net.make ~name:"on-source" ~source:src ~driver:Net.default_driver [ s ] in
   let routed = Merlin_ptree.Ptree.route ~tech net in
   let bld = Curve.Builder.create () in
-  Curve.iter
+  List.iter
     (fun (sol : Merlin_core.Build.sol) ->
        let gate = Delay_model.delay net.Net.driver ~load:sol.Solution.load in
        Curve.Builder.push bld ~req:(sol.Solution.req -. gate)
          ~load:sol.Solution.load ~area:sol.Solution.area sol.Solution.data)
-    (VG.curve ~tech ~buffers routed);
+    (Curve_reference.of_curve (VG.curve ~tech ~buffers routed));
   let best = Option.get (Curve.best_req (Curve.Builder.build bld)) in
   Alcotest.(check bool) "same tree" true
     (Test_core.rtree_equal best.Solution.data.Merlin_core.Build.tree
@@ -100,17 +100,15 @@ let test_sink_on_source () =
    counter: only Star_ptree.run_in does. *)
 let test_star_counters_untouched () =
   let module S = Merlin_core.Star_ptree in
-  let counters =
-    [ S.n_runs; S.n_join_adds; S.n_close_adds; S.n_pull_adds; S.n_base_adds;
-      S.n_cells; S.n_pulls; S.n_dropped; S.n_join_filtered;
-      S.n_close_filtered; S.n_joins; S.n_join_survivors; S.bytes_join;
-      S.bytes_close; S.bytes_pull; S.bytes_base ]
-  in
-  let read () = List.map Atomic.get counters in
-  let before = read () in
+  let before = S.counts () in
   let net = mk_net 8 31 in
   ignore (VG.curve ~tech ~buffers ~refine_seg:300 (star net));
-  Alcotest.(check (list int)) "counters" before (read ())
+  let d = S.diff before (S.counts ()) in
+  Alcotest.(check (list int)) "counters" (List.init 16 (fun _ -> 0))
+    [ d.runs; d.join_adds; d.close_adds; d.pull_adds; d.base_adds; d.cells;
+      d.pulls; d.dropped; d.join_filtered; d.close_filtered; d.joins;
+      d.join_survivors; d.bytes_join; d.bytes_close; d.bytes_pull;
+      d.bytes_base ]
 
 (* The walk that builds every candidate's solution and tree before it
    prunes, kept as the reference for [VG.curve], which pushes costs and
@@ -131,18 +129,20 @@ let reference_curve ~tech ~buffers ?trials ?(max_curve = 16) ?refine_seg tree =
   let bld = Curve.Builder.create () in
   let map_build f c =
     Curve.Builder.clear bld;
-    Curve.iter (fun sol -> Curve.Builder.add bld (f sol)) c;
+    List.iter
+      (fun sol -> Curve.Builder.add bld (f sol))
+      (Curve_reference.of_curve c);
     Curve.Builder.build bld
   in
   let close c =
     Curve.Builder.clear bld;
     Curve.Builder.add_curve bld c;
-    Curve.iter
+    List.iter
       (fun sol ->
          Array.iter
            (fun b -> Curve.Builder.add bld (Build.add_root_buffer b sol))
            subset)
-      c;
+      (Curve_reference.of_curve c);
     Curve.Builder.build ~max_size:max_curve bld
   in
   let rec walk = function
@@ -157,12 +157,12 @@ let reference_curve ~tech ~buffers ?trials ?(max_curve = 16) ?refine_seg tree =
         | None -> Some c
         | Some acc ->
           Curve.Builder.clear bld;
-          Curve.iter
+          List.iter
             (fun a ->
-               Curve.iter
+               List.iter
                  (fun b -> Curve.Builder.add bld (Build.join n.Rtree.loc a b))
-                 c)
-            acc;
+                 (Curve_reference.of_curve c))
+            (Curve_reference.of_curve acc);
           Some (Curve.Builder.build ~max_size:max_curve bld)
       in
       let joined =
@@ -240,7 +240,7 @@ let same_curves x y =
           && List.equal Test_core.member_equal
                s.Solution.data.Merlin_core.Build.members
                t.Solution.data.Merlin_core.Build.members)
-       (Curve.to_list x) (Curve.to_list y)
+       (Curve_reference.of_curve x) (Curve_reference.of_curve y)
 
 (* Random trees of 1-8 sinks, the whole library or 0-6 trials, small,
    default and wide caps, with and without refinement. *)

@@ -67,12 +67,12 @@ let unbounded_best ~buffers ~max_fanout ~driver sinks =
       in
       if j = n - 1 then close ~req:d_req ~load:d_load ~area:0.0 ~link_chain:None
       else
-        Curve.iter
+        List.iter
           (fun (next : Lttree.chain Solution.t) ->
              close ~req:(min d_req next.Solution.req)
                ~load:(d_load +. next.Solution.load) ~area:next.Solution.area
                ~link_chain:(Some next.Solution.data))
-          memo.(j + 1)
+          (Curve_reference.of_curve memo.(j + 1))
     in
     for j = i to min (n - 1) (i + max_fanout - 1) do
       if j - i + 1 + (if j = n - 1 then 0 else 1) <= max_fanout then try_group j
@@ -88,21 +88,21 @@ let unbounded_best ~buffers ~max_fanout ~driver sinks =
         Curve.Builder.push out ~req:d_req ~load:d_load ~area:0.0
           { Lttree.root_directs = directs; root_chain = None }
       else
-        Curve.iter
+        List.iter
           (fun (next : Lttree.chain Solution.t) ->
              Curve.Builder.push out ~req:(min d_req next.Solution.req)
                ~load:(d_load +. next.Solution.load) ~area:next.Solution.area
                { Lttree.root_directs = directs; root_chain = Some next.Solution.data })
-          memo.(j + 1)
+          (Curve_reference.of_curve memo.(j + 1))
     end
   done;
   let to_driver = Curve.Builder.create () in
-  Curve.iter
+  List.iter
     (fun s ->
        Curve.Builder.push to_driver
          ~req:(s.Solution.req -. Delay_model.delay driver ~load:s.Solution.load)
          ~load:s.Solution.load ~area:s.Solution.area s.Solution.data)
-    (Curve.Builder.build out);
+    (Curve_reference.of_curve (Curve.Builder.build out));
   Option.get (Curve.best_req (Curve.Builder.build to_driver))
 
 (* Brute force: every LT-Tree-I plan's (req after the gate, load, area),

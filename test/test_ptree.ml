@@ -55,12 +55,12 @@ let test_curve_measured_at_driver () =
   let candidates = Ptree.candidate_set net in
   let c = Ptree.curve ~tech ~candidates ~order:(Tsp.order net) net in
   Alcotest.(check bool) "nonempty" false (Curve.is_empty c);
-  Curve.iter
+  List.iter
     (fun sol ->
        let ev = Eval.net tech net sol.Solution.data.Merlin_core.Build.tree in
        Alcotest.(check (float 1e-6)) "curve req matches evaluator"
          ev.Eval.root_req sol.Solution.req)
-    c
+    (Curve_reference.of_curve c)
 
 let test_rejects_bad_order () =
   let net = mk_net 4 1 in

@@ -1,7 +1,8 @@
 (* Unit tests for the serving layer: LRU and two-tier cache behaviour,
    persistent-store crash safety, wire-protocol round trips for every
-   v2 frame kind (qcheck), v1 compatibility decoding and the
-   cache-key/fingerprint semantics. *)
+   v2 frame kind (qcheck), v2 frames pinned byte for byte, refusal of
+   every other protocol version and the cache-key/fingerprint
+   semantics. *)
 
 open Merlin_tech
 open Merlin_net
@@ -378,24 +379,21 @@ let client_msg_roundtrip m =
   let text = Wire.encode_client m in
   match Wire.decode_client text with
   | Error msg -> QCheck.Test.fail_reportf "client decode failed: %s" msg
-  | Ok (Wire.V1, _) -> QCheck.Test.fail_reportf "own encoding decoded as v1"
-  | Ok (Wire.V2, msg) -> String.equal text (Wire.encode_client msg)
-
-let client_roundtrip r = client_msg_roundtrip (Wire.Route r)
-
-let batch_roundtrip b = client_msg_roundtrip (Wire.Batch b)
+  | Ok msg -> String.equal text (Wire.encode_client msg)
 
 let admin_roundtrip () =
   List.iter
     (fun op ->
        let m = Wire.Admin { job = "adm1"; op } in
        match Wire.decode_client (Wire.encode_client m) with
-       | Ok (Wire.V2, m') ->
+       | Ok m' ->
          Alcotest.(check string) "admin msg" (Wire.encode_client m)
            (Wire.encode_client m')
-       | Ok (Wire.V1, _) -> Alcotest.fail "own encoding decoded as v1"
        | Error msg -> Alcotest.fail msg)
     [ Wire.Stats; Wire.Ping; Wire.Drain; Wire.Shutdown ]
+
+let mk_sink id (x, y, cap, req) =
+  Sink.make ~id ~pt:(Merlin_geometry.Point.make x y) ~cap ~req
 
 let sample_metrics =
   { Metrics.flow = "III:MERLIN";
@@ -411,9 +409,8 @@ let sample_metrics =
     cluster_sizes = [ 4; 5; 3 ];
     tree = None }
 
-(* Every v2 server frame kind re-encodes byte-identically through the
-   decoder. *)
-let server_msg_roundtrip () =
+(* One message of every server constructor and net status. *)
+let sample_server_msgs =
   let metrics = sample_metrics in
   let statuses =
     [ Wire.Routed { cached = Wire.Hit; metrics };
@@ -430,115 +427,144 @@ let server_msg_roundtrip () =
              status })
       statuses
   in
+  [ Wire.Reply { job = "r1"; cached = Wire.Hit; metrics };
+    Wire.Reply { job = "r2"; cached = Wire.Miss; metrics };
+    Wire.Refused
+      { job = "r3"; kind = Wire.Timeout; message = "deadline exceeded" };
+    Wire.Refused { job = ""; kind = Wire.Bad_request; message = "nope" };
+    Wire.Batch_done
+      { job = "b1";
+        seq = 6;
+        summary =
+          { Wire.total = 5; routed = 2; hits = 1; unchanged = 1; failed = 1;
+            cancelled = 0; wall_s = 1.5 } };
+    Wire.Stats_reply { job = "s"; stats = Json.Obj [ ("x", Json.Num 1.0) ] };
+    Wire.Pong { job = "p" };
+    Wire.Admin_ok { job = "d"; what = "draining" } ]
+  @ progress
+
+(* Every v2 server frame kind re-encodes byte-identically through the
+   decoder. *)
+let server_msg_roundtrip () =
   List.iter
     (fun m ->
        match Wire.decode_server (Wire.encode_server m) with
        | Ok (Wire.V2, m') ->
          Alcotest.(check string) "server msg" (Wire.encode_server m)
            (Wire.encode_server m')
-       | Ok (Wire.V1, _) -> Alcotest.fail "own encoding decoded as v1"
        | Error msg -> Alcotest.fail msg)
-    ([ Wire.Reply { job = "r1"; cached = Wire.Hit; metrics };
-       Wire.Reply { job = "r2"; cached = Wire.Miss; metrics };
-       Wire.Refused
-         { job = "r3"; kind = Wire.Timeout; message = "deadline exceeded" };
-       Wire.Refused { job = ""; kind = Wire.Bad_request; message = "nope" };
-       Wire.Batch_done
-         { job = "b1";
-           seq = 6;
-           summary =
-             { Wire.total = 5; routed = 2; hits = 1; unchanged = 1; failed = 1;
-               cancelled = 0; wall_s = 1.5 } };
-       Wire.Stats_reply { job = "s"; stats = Json.Obj [ ("x", Json.Num 1.0) ] };
-       Wire.Pong { job = "p" };
-       Wire.Admin_ok { job = "d"; what = "draining" } ]
-    @ progress)
+    sample_server_msgs
 
-(* v1 frames — the pre-envelope grammar — must keep decoding, with the
-   v1 [id] mapped to [job] and admin frames getting job "". *)
-let v1_compat_decode () =
+(* Version 1 is gone: its frames, a route and a ping of the old
+   pre-envelope grammar among them, decode to an [Error] naming the one
+   version spoken. *)
+let v1_refused () =
   let spec =
     { Flows.tech; buffers; algo = Flows.Lttree_ptree { max_fanout = 10 } }
   in
   let net = Net_gen.random_net ~seed:5 ~name:"v1" ~n:4 tech in
   let v1_route =
-    Json.to_string
-      (Json.Obj
-         [ ("v", Json.Num 1.0);
-           ("type", Json.Str "route");
-           ("id", Json.Str "legacy");
-           ("spec", Wire.spec_to_json spec);
-           ("net", Json.Str (Net_io.to_string net)) ])
+    Printf.sprintf {|{"v":1,"type":"route","id":"legacy","spec":%s,"net":%s}|}
+      (Json.to_string (Wire.spec_to_json spec))
+      (Json.to_string (Json.Str (Net_io.to_string net)))
   in
-  (match Wire.decode_client v1_route with
-   | Ok (Wire.V1, Wire.Route r) ->
-     Alcotest.(check string) "v1 id becomes job" "legacy" r.Wire.job;
-     Alcotest.(check string) "net survives"
-       (Net_io.fingerprint net)
-       (Net_io.fingerprint r.Wire.net);
-     Alcotest.(check string) "spec survives (same cache key)"
-       (Wire.request_key spec net)
-       (Wire.request_key r.Wire.spec r.Wire.net)
-   | Ok _ -> Alcotest.fail "v1 route decoded to the wrong shape"
-   | Error msg -> Alcotest.fail msg);
-  (match Wire.decode_client "{\"v\":1,\"type\":\"ping\"}" with
-   | Ok (Wire.V1, Wire.Admin { job = ""; op = Wire.Ping }) -> ()
-   | Ok _ -> Alcotest.fail "v1 ping decoded to the wrong shape"
-   | Error msg -> Alcotest.fail msg);
-  (* Replies rendered for a v1 peer round trip through the v1 grammar
-     and carry the v1 field names. *)
-  let reply =
-    Wire.Reply { job = "legacy"; cached = Wire.Hit; metrics = sample_metrics }
+  List.iter
+    (fun (what, text) ->
+       Alcotest.(check (result reject string)) what
+         (Error "protocol version 1 unsupported (expected 2)")
+         (Wire.decode_client text))
+    [ ("v1 route", v1_route); ("v1 ping", {|{"v":1,"type":"ping"}|}) ]
+
+(* A fixed message of every client and server constructor, encoded
+   before version 1 was removed: the v2 bytes must never move.  The two
+   frames that carry a spec (about 6 KB of tech and buffer JSON) are
+   pinned by length and MD5, the rest verbatim; the request keys of the
+   routed nets are pinned with them. *)
+let test_v2_frames_pinned () =
+  let net =
+    Net.make ~name:"pin" ~source:(Merlin_geometry.Point.make 10 10)
+      ~driver:Net.default_driver
+      (List.mapi mk_sink [ (0, 0, 5.0, 100.0); (900, 40, 9.0, 250.0) ])
   in
-  let text = Wire.encode_server ~proto:Wire.V1 reply in
-  Alcotest.(check bool) "v1 reply carries id" true
-    (let sub = "\"id\":\"legacy\"" in
-     let rec contains i =
-       i + String.length sub <= String.length text
-       && (String.equal (String.sub text i (String.length sub)) sub
-           || contains (i + 1))
-     in
-     contains 0);
-  (match Wire.decode_server text with
-   | Ok (Wire.V1, Wire.Reply { job = "legacy"; cached = Wire.Hit; _ }) -> ()
-   | Ok _ -> Alcotest.fail "v1 reply decoded to the wrong shape"
-   | Error msg -> Alcotest.fail msg);
-  (* The v1 grammar has no multi-frame kinds: encoding them as v1 is a
-     caller bug. *)
-  Alcotest.check_raises "no v1 progress"
-    (Invalid_argument "Wire.encode_server: v1 cannot carry multi-frame replies")
-    (fun () ->
-       ignore
-         (Wire.encode_server ~proto:Wire.V1
-            (Wire.Progress
-               { job = "b"; seq = 1; index = 0; name = "n"; status = Wire.Unchanged })))
+  let spec algo = { Flows.tech; buffers; algo } in
+  let route =
+    { Wire.job = "r1"; spec = spec (Flows.Lttree_ptree { max_fanout = 10 });
+      net; deadline_s = Some 2.5; want_tree = true }
+  in
+  let batch =
+    { Wire.job = "b1"; spec = spec (Flows.Ptree_vg { refine_seg = None });
+      nets = [ ("n0", net); ("n1", net) ]; deadline_s = None;
+      want_tree = false; manifest = Some [ ("n0", Net_io.fingerprint net) ] }
+  in
+  let digest s =
+    Printf.sprintf "%d %s" (String.length s) (Digest.to_hex (Digest.string s))
+  in
+  Alcotest.(check string) "route frame" "6247 4ea64b1645170db5a3ee8a9d40b53bc7"
+    (digest (Wire.encode_client (Wire.Route route)));
+  Alcotest.(check string) "batch frame" "6401 198afabcddf52e0b211d371f4ab14399"
+    (digest (Wire.encode_client (Wire.Batch batch)));
+  Alcotest.(check string) "route key" "20bfbee1323045dab172b95d0ff620fc"
+    (Wire.request_key route.Wire.spec net);
+  Alcotest.(check string) "batch key" "9a9bd716f8ace59571ad0036d146ea2d"
+    (Wire.request_key batch.Wire.spec net);
+  List.iter2
+    (fun op text ->
+       Alcotest.(check string) text text
+         (Wire.encode_client (Wire.Admin { job = "a"; op })))
+    [ Wire.Stats; Wire.Ping; Wire.Drain; Wire.Shutdown ]
+    [ {|{"v":2,"job":"a","seq":0,"type":"stats"}|};
+      {|{"v":2,"job":"a","seq":0,"type":"ping"}|};
+      {|{"v":2,"job":"a","seq":0,"type":"drain"}|};
+      {|{"v":2,"job":"a","seq":0,"type":"shutdown"}|} ];
+  let m =
+    {|{"v":1,"flow":"III:MERLIN","area":48.25,"delay":1056.71,"root_req":854.66666666666663,"runtime":0.125,"n_buffers":4,"wirelength":8393,"loops":2,"clusters":3,"levels":2,"cluster_sizes":[4,5,3]}|}
+  in
+  List.iter2
+    (fun msg text -> Alcotest.(check string) text text (Wire.encode_server msg))
+    sample_server_msgs
+    [ {|{"v":2,"job":"r1","seq":0,"type":"reply","cached":true,"metrics":|} ^ m ^ "}";
+      {|{"v":2,"job":"r2","seq":0,"type":"reply","cached":false,"metrics":|} ^ m ^ "}";
+      {|{"v":2,"job":"r3","seq":0,"type":"error","kind":"timeout","message":"deadline exceeded"}|};
+      {|{"v":2,"job":"","seq":0,"type":"error","kind":"bad-request","message":"nope"}|};
+      {|{"v":2,"job":"b1","seq":6,"type":"batch-done","summary":{"total":5,"routed":2,"hits":1,"unchanged":1,"failed":1,"cancelled":0,"wall_s":1.5}}|};
+      {|{"v":2,"job":"s","seq":0,"type":"stats","stats":{"x":1}}|};
+      {|{"v":2,"job":"p","seq":0,"type":"pong"}|};
+      {|{"v":2,"job":"d","seq":0,"type":"ok","what":"draining"}|};
+      {|{"v":2,"job":"b1","seq":1,"type":"progress","index":0,"name":"n0","status":{"state":"routed","cached":true,"metrics":|} ^ m ^ "}}";
+      {|{"v":2,"job":"b1","seq":2,"type":"progress","index":1,"name":"n1","status":{"state":"routed","cached":false,"metrics":|} ^ m ^ "}}";
+      {|{"v":2,"job":"b1","seq":3,"type":"progress","index":2,"name":"n2","status":{"state":"unchanged"}}|};
+      {|{"v":2,"job":"b1","seq":4,"type":"progress","index":3,"name":"n3","status":{"state":"failed","kind":"timeout","message":"too slow"}}|};
+      {|{"v":2,"job":"b1","seq":5,"type":"progress","index":4,"name":"n4","status":{"state":"cancelled"}}|} ]
 
 let decode_rejects () =
+  let spec =
+    { Flows.tech; buffers; algo = Flows.Lttree_ptree { max_fanout = 10 } }
+  in
   let is_error = function Error _ -> true | Ok _ -> false in
   Alcotest.(check bool) "garbage" true (is_error (Wire.decode_client "{x"));
   Alcotest.(check bool) "not a message" true
-    (is_error (Wire.decode_client "{\"v\":1}"));
+    (is_error (Wire.decode_client "{\"v\":2}"));
   Alcotest.(check bool) "wrong version" true
     (is_error (Wire.decode_client "{\"v\":99,\"type\":\"ping\"}"));
-  Alcotest.(check bool) "unknown v1 type" true
-    (is_error (Wire.decode_client "{\"v\":1,\"type\":\"frobnicate\"}"));
-  Alcotest.(check bool) "v1 has no batch" true
-    (is_error
-       (Wire.decode_client "{\"v\":1,\"type\":\"batch\",\"id\":\"x\"}"));
   Alcotest.(check bool) "unknown v2 type" true
     (is_error
        (Wire.decode_client
           "{\"v\":2,\"job\":\"x\",\"seq\":0,\"type\":\"frobnicate\"}"));
   Alcotest.(check bool) "v2 without job" true
     (is_error (Wire.decode_client "{\"v\":2,\"type\":\"ping\"}"));
-  Alcotest.(check bool) "bad net text" true
-    (is_error
-       (Wire.decode_client
-          "{\"v\":1,\"type\":\"route\",\"id\":\"x\",\"spec\":{},\"net\":\"zz\"}"));
-  Alcotest.(check bool) "batch with bad manifest" true
-    (is_error
-       (Wire.decode_client
-          "{\"v\":2,\"job\":\"x\",\"seq\":0,\"type\":\"batch\",\"spec\":{},\"nets\":[],\"manifest\":[{\"name\":3}]}"))
+  (* A valid spec, so each case fails on the field it names. *)
+  let frame fmt =
+    Printf.sprintf fmt (Json.to_string (Wire.spec_to_json spec))
+  in
+  Alcotest.(check (result reject string)) "bad net text"
+    (Error "Net_io.of_string: line 1: unrecognised line \"zz\"")
+    (Wire.decode_client
+       (frame {|{"v":2,"job":"x","seq":0,"type":"route","spec":%s,"net":"zz"}|}));
+  Alcotest.(check (result reject string)) "batch with bad manifest"
+    (Error "field \"name\": expected a string")
+    (Wire.decode_client
+       (frame
+          {|{"v":2,"job":"x","seq":0,"type":"batch","spec":%s,"nets":[],"manifest":[{"name":3}]}|}))
 
 (* Flow knobs the flows would reject with Invalid_argument inside a pool
    task are refused at decode instead, with the flow's own message. *)
@@ -587,9 +613,6 @@ let decode_rejects_flow_knobs () =
   accepted "refine_seg 1" (decode "ptree-vg" "refine_seg" 1)
 
 (* ---------------- cache keys ---------------- *)
-
-let mk_sink id (x, y, cap, req) =
-  Sink.make ~id ~pt:(Merlin_geometry.Point.make x y) ~cap ~req
 
 let test_fingerprint_sink_order () =
   let a = (0, 0, 5.0, 100.0) and b = (900, 40, 9.0, 250.0) in
@@ -697,11 +720,14 @@ let suite =
       Alcotest.test_case "scheduler dedups in-flight keys" `Quick
         test_schedule_dedup;
       qtest "spec json round trip" arb_spec spec_roundtrip;
-      qtest ~count:60 "route msg round trip" arb_request client_roundtrip;
-      qtest ~count:60 "batch msg round trip" arb_batch batch_roundtrip;
+      qtest ~count:60 "route msg round trip" arb_request (fun r ->
+          client_msg_roundtrip (Wire.Route r));
+      qtest ~count:60 "batch msg round trip" arb_batch (fun b ->
+          client_msg_roundtrip (Wire.Batch b));
       Alcotest.test_case "admin msg round trip" `Quick admin_roundtrip;
       Alcotest.test_case "server msg round trip" `Quick server_msg_roundtrip;
-      Alcotest.test_case "v1 compatibility decode" `Quick v1_compat_decode;
+      Alcotest.test_case "v1 frames refused" `Quick v1_refused;
+      Alcotest.test_case "v2 frames pinned" `Quick test_v2_frames_pinned;
       Alcotest.test_case "decoder rejects bad input" `Quick decode_rejects;
       Alcotest.test_case "decoder rejects bad flow knobs" `Quick
         decode_rejects_flow_knobs;
