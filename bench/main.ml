@@ -460,25 +460,29 @@ let hier_table ~opts pool () =
    payload tuples and built trees only for kept points (EXPERIMENTS.md
    "Index-named candidates"), and 2.12K once curves stored their points
    as float columns instead of boxed Solution.t records and the window
-   reading stopped allocating (EXPERIMENTS.md "Columnar curves").  The
-   --smoke run fails when the measured value exceeds this by more than
+   reading stopped allocating (EXPERIMENTS.md "Columnar curves"), and
+   1.98K once the builder's sort stopped allocating a comparator closure
+   and its payload copy an Array.init closure per build (EXPERIMENTS.md
+   "Closure-free builder sort").  The --smoke run fails when the measured value exceeds this by more than
    25%, so an accidental return to
    per-build scratch, per-candidate boxing, boxed payloads or materialising
    points the cap drops cannot land silently.  Recalibrate (with the
    measured value from a quiet machine, recorded in EXPERIMENTS.md) when
    the kernel deliberately changes. *)
-let alloc_budget_bytes_per_join = 2117.0
+let alloc_budget_bytes_per_join = 1976.0
 
 (* Committed allocation budget for the buffer closures of the same rows:
    bytes allocated inside Star_ptree's closure windows per computed
    cell.  Closures once cost more bytes than joins on the larger routes
    with no budget of their own: the n=10 row measured 40.9K per cell
    before curves became columns and the closure's trial costs stopped
-   boxing the load they read and the delay they computed, and 14.3K
-   after (EXPERIMENTS.md "Columnar curves").  The --smoke run fails
+   boxing the load they read and the delay they computed, 14.3K after
+   (EXPERIMENTS.md "Columnar curves"), and 12.3K once a build allocated
+   no closures (EXPERIMENTS.md "Closure-free builder sort").  The
+   --smoke run fails
    above budget x1.25, so a closure that boxes per trial or materialises
    dropped points again cannot land silently. *)
-let alloc_budget_bytes_close_per_cell = 14321.0
+let alloc_budget_bytes_close_per_cell = 12295.0
 
 (* Committed work budget for the same rows: *PTREE cells computed per
    merge, i.e. per *PTREE run.  Cells memoised by a construction's context

@@ -1,8 +1,9 @@
 (* Shared concurrency machinery for the C4-C6 rules: a per-project
    inventory of top-level functions with, for each one, the lock
    regions it opens, the acquisition/blocking/call sites inside it and
-   two interprocedural summaries — the set of locks a call into it may
-   acquire (C4/C5) and whether it returns a fresh file descriptor (C6).
+   three interprocedural summaries — the set of locks a call into it
+   may acquire (C4), the blocking primitive a call into it may reach
+   (C5) and whether it returns a fresh file descriptor (C6).
 
    Lock identity.  A lock must get the same name wherever it is
    touched, or the project-wide lock graph falls apart.  Field locks
@@ -133,6 +134,9 @@ type fn = {
   mutable fn_blocking : bsite list;
   mutable fn_calls : (fn * Location.t) list;
   mutable fn_acquires : SS.t;  (** fixpoint over the call graph *)
+  mutable fn_blocks : bsite option;
+      (** a blocking site some call chain from here reaches (fixpoint
+          over the call graph) *)
   mutable fn_returns_fd : bool;
 }
 
@@ -300,6 +304,7 @@ let functions_of_unit (u : Cmt_load.t) =
                         fn_blocking = [];
                         fn_calls = [];
                         fn_acquires = SS.empty;
+                        fn_blocks = None;
                         fn_returns_fd = false } )
                 | _ -> None)
              vbs
@@ -598,6 +603,36 @@ let acquires_fixpoint fns =
       fns
   done
 
+(* A blocking site a call into [fn] may reach: one of [fn]'s own,
+   preferring a primitive that blocks whatever lock is held over a
+   [Condition.wait], which only blocks some; else the one the first
+   callee that reaches a site reaches.  A call to a project function
+   on the blocking table is already a site of [fn]'s own. *)
+let blocks_fixpoint fns =
+  let is_wait s = String.equal s.s_prim "Condition.wait" in
+  List.iter
+    (fun fn ->
+       fn.fn_blocks <-
+         (match List.find_opt (fun s -> not (is_wait s)) fn.fn_blocking with
+          | Some _ as site -> site
+          | None -> List.nth_opt fn.fn_blocking 0))
+    fns;
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    List.iter
+      (fun fn ->
+         if Option.is_none fn.fn_blocks then
+           match
+             List.find_map (fun (callee, _) -> callee.fn_blocks) fn.fn_calls
+           with
+           | Some _ as site ->
+             fn.fn_blocks <- site;
+             changed := true
+           | None -> ())
+      fns
+  done
+
 (* Does this application produce a fresh fd?  Either a known Unix
    producer or a call to a project function summarized as returning
    one. *)
@@ -681,6 +716,7 @@ let build (units : Cmt_load.t list) =
   let resolve fn p = resolve_call project fn p in
   List.iter (extract_sites resolve) fns;
   acquires_fixpoint fns;
+  blocks_fixpoint fns;
   returns_fd_fixpoint project;
   project
 
@@ -743,20 +779,52 @@ type blocking_site = {
   b_loc : Location.t;
   b_held : string list;
   b_wait_on : string option;
+  b_via : string option;
 }
 
+let same_site (a : Location.t) (b : Location.t) =
+  String.equal (loc_file a) (loc_file b) && start_cnum a = start_cnum b
+
+(* Direct sites, then calls to project functions whose summary reaches
+   a blocking primitive.  A call that is itself a direct site (a
+   blocking-table entry the project defines, such as [Pool.await]) is
+   reported once, as the direct site. *)
 let blocking_sites project =
   List.concat_map
     (fun fn ->
-       List.filter_map
-         (fun s ->
-            match held_at fn s.s_loc with
-            | [] -> None
-            | held ->
-              Some
-                { b_prim = s.s_prim;
-                  b_loc = s.s_loc;
-                  b_held = held;
-                  b_wait_on = s.s_wait_on })
-         fn.fn_blocking)
+       let direct =
+         List.filter_map
+           (fun s ->
+              match held_at fn s.s_loc with
+              | [] -> None
+              | held ->
+                Some
+                  { b_prim = s.s_prim;
+                    b_loc = s.s_loc;
+                    b_held = held;
+                    b_wait_on = s.s_wait_on;
+                    b_via = None })
+           fn.fn_blocking
+       in
+       let via_calls =
+         List.filter_map
+           (fun (callee, loc) ->
+              match callee.fn_blocks with
+              | None -> None
+              | Some _
+                when List.exists (fun s -> same_site s.s_loc loc) fn.fn_blocking
+                -> None
+              | Some s -> (
+                match held_at fn loc with
+                | [] -> None
+                | held ->
+                  Some
+                    { b_prim = s.s_prim;
+                      b_loc = loc;
+                      b_held = held;
+                      b_wait_on = s.s_wait_on;
+                      b_via = Some (callee.fn_unit ^ "." ^ callee.fn_name) }))
+           fn.fn_calls
+       in
+       direct @ via_calls)
     project.fns

@@ -1,7 +1,7 @@
 (** Shared concurrency machinery for the C4-C6 rules: per-project
     function inventory, lock naming, held-lock regions, and the
-    interprocedural summaries (locks a call may acquire, functions
-    returning fresh fds).
+    interprocedural summaries (locks a call may acquire, the blocking
+    primitive a call may reach, functions returning fresh fds).
 
     Lock names are project-stable: field locks are named from their
     record type ([Pool.sm], [Lru.lock], [Server.lock], [Pool.future.fm]),
@@ -24,6 +24,7 @@ type fn = {
   mutable fn_blocking : bsite list;
   mutable fn_calls : (fn * Location.t) list;
   mutable fn_acquires : Set.Make(String).t;
+  mutable fn_blocks : bsite option;
   mutable fn_returns_fd : bool;
 }
 
@@ -42,7 +43,8 @@ and bsite = { s_prim : string; s_loc : Location.t; s_wait_on : string option }
 type project
 
 (** Inventory every unit's top-level functions, detect protect-like
-    helpers, extract sites and run both interprocedural fixpoints. *)
+    helpers, extract sites and run the three interprocedural
+    fixpoints. *)
 val build : Cmt_load.t list -> project
 
 val fns : project -> fn list
@@ -59,12 +61,16 @@ type edge = {
 val edges : project -> edge list
 
 (** A known-blocking call inside a held-lock region.  [b_wait_on] is
-    [Condition.wait]'s own mutex when nameable. *)
+    [Condition.wait]'s own mutex when nameable.  [b_via] names the
+    project function called at [b_loc] when the primitive [b_prim] is
+    reached through it (and [b_wait_on] is then the reached wait's
+    mutex) rather than called in place. *)
 type blocking_site = {
   b_prim : string;
   b_loc : Location.t;
   b_held : string list;
   b_wait_on : string option;
+  b_via : string option;
 }
 
 val blocking_sites : project -> blocking_site list

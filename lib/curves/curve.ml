@@ -11,6 +11,9 @@
    array, and [Builder.build] prunes the whole bag at once with one
    stable sort and one staircase sweep, then picks at most [max_size]
    of the survivors and copies only those into the curve's columns.
+   The sort reads the columns in place through one inlined key test,
+   with no comparator closure, and a build on a warm builder allocates
+   only the curve it returns (and what its [f] allocates).
    The sweep exploits the key order (req descending, then load, then
    area ascending): a processed point can only be dominated by an
    earlier one, and a kept point is never invalidated later, so
@@ -174,14 +177,46 @@ module Builder = struct
       b.st_area <- Float.Array.create cap
     end
 
-  (* Ascending bottom-up merge sort of [keys.(0 .. n-1)] under [cmp],
-     merging back and forth between [keys] and the builder-owned [tmp]
-     scratch.  Hand-written because the stdlib cannot sort a prefix of a
-     larger scratch array, and [Array.stable_sort] allocates a fresh run
-     buffer per call.  Stable (merges keep the left run on ties), and
-     the comparator also tie-breaks on the push index.  Small runs are
-     seeded with an insertion-sort pass, like the stdlib's cutoff. *)
-  let sort_idx keys tmp n cmp =
+  (* The key order as one boolean test, [Float.compare] semantics
+     spelled out: push [i] sorts after push [j] when its req is lower,
+     or on equal req its load is higher, or on equal load its area is
+     higher, or on equal coordinates it was pushed later.  The ordered
+     comparisons decide the common case; only when neither holds and
+     the two floats are not equal is a nan involved, which
+     [Float.compare] puts below every other float and equal to itself.
+     Inlined into [sort_idx], so a comparison is a few float tests on
+     the columns and not an indirect call to a per-build closure (the
+     non-flambda compiler calls a closure argument indirectly). *)
+  let[@inline] area_after area i j =
+    let x = Float.Array.get area i and y = Float.Array.get area j in
+    if x > y then true
+    else if x < y then false
+    else if x = y || (x <> x && y <> y) then i > j
+    else y <> y
+
+  let[@inline] load_after load area i j =
+    let x = Float.Array.get load i and y = Float.Array.get load j in
+    if x > y then true
+    else if x < y then false
+    else if x = y || (x <> x && y <> y) then area_after area i j
+    else y <> y
+
+  let[@inline] sorts_after req load area i j =
+    let x = Float.Array.get req i and y = Float.Array.get req j in
+    if x < y then true
+    else if x > y then false
+    else if x = y || (x <> x && y <> y) then load_after load area i j
+    else x <> x
+
+  (* Ascending bottom-up merge sort of [keys.(0 .. n-1)] in key order
+     ([sorts_after] over the columns), merging back and forth between
+     [keys] and the builder-owned [tmp] scratch.  Hand-written because
+     the stdlib cannot sort a prefix of a larger scratch array, and
+     [Array.stable_sort] allocates a fresh run buffer per call.  The
+     key test breaks every tie on the push index, so the order is total
+     and the sort allocates nothing.  Small runs are seeded with an
+     insertion-sort pass, like the stdlib's cutoff. *)
+  let sort_idx keys tmp n req load area =
     let run = 16 in
     let lo = ref 0 in
     while !lo < n do
@@ -189,7 +224,7 @@ module Builder = struct
       for i = !lo + 1 to hi - 1 do
         let v = keys.(i) in
         let j = ref i in
-        while !j > !lo && cmp keys.(!j - 1) v > 0 do
+        while !j > !lo && sorts_after req load area keys.(!j - 1) v do
           keys.(!j) <- keys.(!j - 1);
           decr j
         done;
@@ -207,7 +242,7 @@ module Builder = struct
         let hi = min n (mid + !width) in
         let i = ref !lo and j = ref mid and w = ref !lo in
         while !i < mid && !j < hi do
-          if cmp s.(!i) s.(!j) <= 0 then begin
+          if not (sorts_after req load area s.(!i) s.(!j)) then begin
             d.(!w) <- s.(!i);
             incr i
           end
@@ -236,6 +271,28 @@ module Builder = struct
     done;
     if !src != keys then Array.blit !src 0 keys 0 n (* check: physical-eq *)
 
+  (* [keys.(0 .. len-1)] := the push indices in key order. *)
+  let sort_keys b =
+    ensure_scratch b;
+    for i = 0 to b.len - 1 do
+      b.keys.(i) <- i
+    done;
+    sort_idx b.keys b.tmp b.len b.req b.load b.area
+
+  let sort_order b =
+    sort_keys b;
+    Array.sub b.keys 0 b.len
+
+  (* The first position into [keep.(0 .. nkeep-1)] whose point has the
+     least [col] value. *)
+  let argmin col keep nkeep =
+    let best = ref 0 in
+    for t = 1 to nkeep - 1 do
+      if Float.Array.get col keep.(t) < Float.Array.get col keep.(!best) then
+        best := t
+    done;
+    !best
+
   (* The [max_size] selection over the [nkeep] kept points, written to
      [pick] as ascending, distinct positions into [keep]; returns how
      many.  Keep the extreme point of each dimension (best required
@@ -247,17 +304,9 @@ module Builder = struct
     let np = 4 + spread in
     if Array.length b.pick < np then b.pick <- Array.make np 0;
     let pick = b.pick and keep = b.keep in
-    let argmin col =
-      let best = ref 0 in
-      for t = 1 to nkeep - 1 do
-        if Float.Array.get col keep.(t) < Float.Array.get col keep.(!best)
-        then best := t
-      done;
-      !best
-    in
     pick.(0) <- 0;
-    pick.(1) <- argmin b.load;
-    pick.(2) <- argmin b.area;
+    pick.(1) <- argmin b.load keep nkeep;
+    pick.(2) <- argmin b.area keep nkeep;
     pick.(3) <- nkeep - 1;
     for k = 0 to spread - 1 do
       pick.(4 + k) <- 1 + (k * (nkeep - 2) / spread)
@@ -291,24 +340,8 @@ module Builder = struct
     b.kept <- 0;
     if n = 0 then empty
     else begin
-      ensure_scratch b;
+      sort_keys b;
       let req = b.req and load = b.load and area = b.area in
-      for i = 0 to n - 1 do
-        b.keys.(i) <- i
-      done;
-      sort_idx b.keys b.tmp n (fun i j ->
-          let c = Float.compare (Float.Array.get req j) (Float.Array.get req i) in
-          if c <> 0 then c
-          else
-            let c =
-              Float.compare (Float.Array.get load i) (Float.Array.get load j)
-            in
-            if c <> 0 then c
-            else
-              let c =
-                Float.compare (Float.Array.get area i) (Float.Array.get area j)
-              in
-              if c <> 0 then c else Int.compare i j);
       (* Staircase of the kept points' (load, area) minima: load strictly
          increasing, area strictly decreasing. *)
       let st_load = b.st_load and st_area = b.st_area in
@@ -379,7 +412,13 @@ module Builder = struct
         Float.Array.set oarea t (Float.Array.get area i)
       done;
       Contract.check ~name oreq oload oarea;
-      of_columns oreq oload oarea (Array.init np (fun t -> f b.data.(keep.(t))))
+      (* [Array.init] would take a closure over [f] and the builder. *)
+      let data = b.data in
+      let odata = Array.make np (f data.(keep.(0))) in
+      for t = 1 to np - 1 do
+        odata.(t) <- f data.(keep.(t))
+      done;
+      of_columns oreq oload oarea odata
     end
 
   let build ?name ?max_size b = build_map ?name ?max_size ~f:Fun.id b

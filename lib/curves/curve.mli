@@ -126,6 +126,12 @@ module Builder : sig
   (** [build ?name ?max_size b] is [build_map ~f:Fun.id]. *)
   val build : ?name:string -> ?max_size:int -> 'a b -> 'a t
 
+  (** [sort_order b] is the push indices of [b]'s bag in the order
+      {!build_map} sorts them before its sweep: {!Solution.compare_key},
+      ties broken by the push index.  A fresh array, for tests of the
+      sort; the bag is unchanged. *)
+  val sort_order : 'a b -> int array
+
   (** Frontier width of the last {!build_map} on this builder, before
       [max_size] dropped any point (0 after an empty build). *)
   val kept : 'a b -> int

@@ -1,5 +1,6 @@
-(* C5 positive: a known-blocking call inside a held-lock region, and a
-   Condition.wait whose mutex is not the only lock held.  The local
+(* C5 positive: a known-blocking call inside a held-lock region, a
+   Condition.wait whose mutex is not the only lock held, and a helper
+   that joins, called under a lock: the finding is at the call.  The local
    Thread stub stands in for the real threads library (the analyzer
    matches by path suffix). *)
 
@@ -19,3 +20,7 @@ let bad_join t th = Mutex.protect t.m (fun () -> Thread.join th)
 let bad_wait t =
   Mutex.protect t.m (fun () ->
       Mutex.protect t.m2 (fun () -> Condition.wait t.cv t.m2))
+
+let join_worker th = Thread.join th
+
+let bad_helper t th = Mutex.protect t.m (fun () -> join_worker th)

@@ -245,13 +245,22 @@ let test_c4_waived () =
 
 let test_c5_positive () =
   let fs = findings_for "c5_pos.ml" in
-  Alcotest.(check int) "join under lock + wrong-mutex wait" 2
+  Alcotest.(check int) "join under lock + wrong-mutex wait + helper call" 3
     (count_rule "blocking-under-lock" fs);
   Alcotest.(check bool) "wait finding names the pinned lock" true
     (List.exists
        (fun (f : Finding.t) ->
           contains f.Finding.message "Condition.wait releases only"
           && contains f.Finding.message "C5_pos.s.m")
+       fs);
+  (* The helper's finding sits at the call, on the caller's line, and
+     names the helper and the primitive it reaches. *)
+  Alcotest.(check bool) "helper call names helper and primitive" true
+    (List.exists
+       (fun (f : Finding.t) ->
+          contains f.Finding.message "call to C5_pos.join_worker"
+          && contains f.Finding.message "Thread.join"
+          && Int.equal f.Finding.line 26)
        fs)
 
 let test_c5_negative () =

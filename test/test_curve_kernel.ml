@@ -345,6 +345,101 @@ let columnar =
              (columns (Curve.Builder.build ?max_size bld))
              (bits_of_sols (reference ?max_size (bag_to_sols bag)))) ]
 
+(* Columns for the sort oracle, from small value sets so that ties on
+   each key are common: either two plain values or the floats that
+   [Float.compare] orders specially (signed zeros, which it calls equal,
+   the infinities, and nan of both signs, which sorts below every other
+   float and equal to itself). *)
+let gen_sort_bag =
+  let specials =
+    [ 0.0; -0.0; 1.0; 2.0; infinity; neg_infinity; Float.nan; -.Float.nan ]
+  in
+  QCheck.Gen.(
+    oneofl [ [ 1.0; 2.0 ]; specials ] >>= fun pool ->
+    let v = oneofl pool in
+    list_size (int_range 0 100) (triple v v v))
+
+let arb_sort_bag =
+  QCheck.make
+    ~print:(fun bag ->
+      String.concat "; "
+        (List.map (fun (r, l, a) -> Printf.sprintf "(%h,%h,%h)" r l a) bag))
+    gen_sort_bag
+
+(* The push indices stably sorted by [Solution.compare_key], the
+   [Float.compare] chain that defines curve order: ties stay in push
+   order. *)
+let chain_order bag =
+  let sols = Array.of_list (bag_to_sols bag) in
+  let order = Array.init (Array.length sols) Fun.id in
+  Array.stable_sort (fun i j -> Solution.compare_key sols.(i) sols.(j)) order;
+  order
+
+let sort_order =
+  [ qtest "builder sort = stable sort under the Float.compare chain"
+      arb_sort_bag (fun bag ->
+        let bld = Curve.Builder.create ~hint:4 () in
+        List.iteri
+          (fun i (req, load, area) -> Curve.Builder.push bld ~req ~load ~area i)
+          bag;
+        Array.for_all2 Int.equal (Curve.Builder.sort_order bld)
+          (chain_order bag)) ]
+
+(* A payload decoder that allocates one pair per returned point. *)
+let pair i = (i, i)
+
+(* On a warmed builder a build allocates exactly its output: three
+   floatarrays and a data array of the returned size, the curve record,
+   and what [f] allocates (a pair per point here) — no comparator
+   closure, no per-build scratch.  Bytes are read with the additive
+   count of [Star_ptree.allocated_bytes], which a collection inside the
+   window does not move, less the cost of a reading.  Native code only:
+   the bytecode interpreter boxes floats on the way. *)
+let test_build_allocates_its_output () =
+  let word = Sys.word_size / 8 in
+  let rand = Random.State.make [| 11 |] in
+  let bld = Curve.Builder.create () in
+  let fill n =
+    Curve.Builder.clear bld;
+    for i = 0 to n - 1 do
+      Curve.Builder.push bld
+        ~req:(float_of_int (Random.State.int rand 20))
+        ~load:(float_of_int (Random.State.int rand 20))
+        ~area:(float_of_int (Random.State.int rand 20))
+        i
+    done
+  in
+  let bytes = Merlin_core.Star_ptree.allocated_bytes in
+  let reading =
+    let a = bytes () in
+    let b = bytes () in
+    b -. a
+  in
+  Contract.set_enabled false;
+  List.iter
+    (fun (n, max_size) ->
+       fill n;
+       (* Warm up: the first build grows the builder's scratch. *)
+       ignore (Curve.Builder.build_map ?max_size ~f:pair bld);
+       let before = bytes () in
+       let c = Curve.Builder.build_map ?max_size ~f:pair bld in
+       let got = bytes () -. before -. reading in
+       let np = Curve.size c in
+       let words =
+         (3 * (1 + (np * 8 / word))) (* req, load, area *)
+         + (1 + np) (* data *)
+         + 5 (* the record *)
+         + (3 * np) (* one pair per point *)
+       in
+       let expected = float_of_int (words * word) in
+       let label = Printf.sprintf "n=%d, %d points" n np in
+       match Sys.backend_type with
+       | Sys.Native -> Alcotest.(check (float 0.0)) label expected got
+       | Sys.Bytecode | Sys.Other _ ->
+         Alcotest.(check bool) label true (got >= expected))
+    [ (1, None); (40, None); (200, None); (200, Some 4); (200, Some 9);
+      (1000, Some 6) ]
+
 (* A contract over the columns still fires when they are not a curve:
    out of order by each key in turn (req, then load, then area), a
    repeated point, and a point dominated by a non-adjacent one. *)
@@ -471,5 +566,7 @@ let suite =
       Alcotest.test_case "batch results pass contracts" `Quick
         test_batch_contracts;
       Alcotest.test_case "contract on the columns fires on a non-curve" `Quick
-        test_contract_on_columns ]
-    @ equiv @ modes @ columnar )
+        test_contract_on_columns;
+      Alcotest.test_case "a warm build allocates only its output" `Quick
+        test_build_allocates_its_output ]
+    @ equiv @ modes @ columnar @ sort_order )
