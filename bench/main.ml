@@ -463,13 +463,16 @@ let hier_table ~opts pool () =
    reading stopped allocating (EXPERIMENTS.md "Columnar curves"), and
    1.98K once the builder's sort stopped allocating a comparator closure
    and its payload copy an Array.init closure per build (EXPERIMENTS.md
-   "Closure-free builder sort").  The --smoke run fails when the measured value exceeds this by more than
-   25%, so an accidental return to
-   per-build scratch, per-candidate boxing, boxed payloads or materialising
-   points the cap drops cannot land silently.  Recalibrate (with the
+   "Closure-free builder sort"), and 747 once a kept point carried a
+   one-block provenance instead of its whole tree and member list
+   (EXPERIMENTS.md "Provenance payloads").  The --smoke run fails when
+   the measured value exceeds this by more than 25%, so an accidental
+   return to per-build scratch, per-candidate boxing, boxed payloads,
+   eager payload trees or materialising points the cap drops cannot land
+   silently.  Recalibrate (with the
    measured value from a quiet machine, recorded in EXPERIMENTS.md) when
    the kernel deliberately changes. *)
-let alloc_budget_bytes_per_join = 1976.0
+let alloc_budget_bytes_per_join = 747.0
 
 (* Committed allocation budget for the buffer closures of the same rows:
    bytes allocated inside Star_ptree's closure windows per computed
@@ -477,12 +480,13 @@ let alloc_budget_bytes_per_join = 1976.0
    with no budget of their own: the n=10 row measured 40.9K per cell
    before curves became columns and the closure's trial costs stopped
    boxing the load they read and the delay they computed, 14.3K after
-   (EXPERIMENTS.md "Columnar curves"), and 12.3K once a build allocated
-   no closures (EXPERIMENTS.md "Closure-free builder sort").  The
-   --smoke run fails
-   above budget x1.25, so a closure that boxes per trial or materialises
-   dropped points again cannot land silently. *)
-let alloc_budget_bytes_close_per_cell = 12295.0
+   (EXPERIMENTS.md "Columnar curves"), 12.3K once a build allocated no
+   closures (EXPERIMENTS.md "Closure-free builder sort"), and 8.44K once
+   a kept trial carried a one-block provenance instead of its tree
+   (EXPERIMENTS.md "Provenance payloads").  The --smoke run fails above
+   budget x1.25, so a closure that boxes per trial, builds trees or
+   materialises dropped points again cannot land silently. *)
+let alloc_budget_bytes_close_per_cell = 8444.0
 
 (* Committed work budget for the same rows: *PTREE cells computed per
    merge, i.e. per *PTREE run.  Cells memoised by a construction's context

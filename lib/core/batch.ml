@@ -17,8 +17,8 @@ type t = {
   quant : float * float * float;
   bld : int Curve.Builder.b;
   cost : Curve.Builder.cost;
-  mutable lefts : Build.t Curve.t array;
-  mutable rights : Build.t Curve.t array;
+  mutable lefts : Build.prov Curve.t array;
+  mutable rights : Build.prov Curve.t array;
   mutable bases : int array;
   mutable left_dom : int array;
   mutable right_dom : int array;
@@ -260,8 +260,8 @@ let join b root n =
           lefts.(s).Curve.data.(off / nr)
           right.Curve.data.(off mod nr))
 
-(* The tree and members of closure candidate [code] of [curve], as
-   [close] named it; [open_ix] still holds that batch's roots. *)
+(* The provenance of closure candidate [code] of [curve], as [close]
+   named it; [open_ix] still holds that batch's roots. *)
 let close_data b curve code =
   let n = Curve.size curve and data = curve.Curve.data in
   if code < n then data.(code)
@@ -292,11 +292,10 @@ let close b ~rebuffer curve =
   b.open_ix <- grow_ints b.open_ix n;
   let open_ix = b.open_ix and n_open = ref 0 in
   for i = 0 to n - 1 do
-    match curve.Curve.data.(i).Build.tree with
-    | Merlin_rtree.Rtree.Node { buffer = Some _; _ } when not rebuffer -> ()
-    | Merlin_rtree.Rtree.Leaf _ | Merlin_rtree.Rtree.Node _ ->
+    if rebuffer || not (Build.buffered_root curve.Curve.data.(i)) then begin
       open_ix.(!n_open) <- i;
       incr n_open
+    end
   done;
   let n_open = !n_open in
   let nt = n_open * nb in

@@ -47,11 +47,7 @@ let realized_order sol = Order.of_list (Catree.sinks_in_order (hierarchy sol))
 (* A closed sub-group becomes a single chain member when absorbed by the
    enclosing level.  Only the payload changes, so the frontiers stay as
    they are. *)
-let chain_curves curves =
-  let wrap (data : Build.t) =
-    { data with Build.members = [ Catree.Chain (Catree.level data.Build.members) ] }
-  in
-  Array.map (Curve.map_data wrap) curves
+let chain_curves curves = Array.map (Curve.map_data Build.chain) curves
 
 let construct ?candidates ~cfg ~tech ~buffers (net : Net.t) order =
   Config.validate cfg;
@@ -99,7 +95,7 @@ let construct ?candidates ~cfg ~tech ~buffers (net : Net.t) order =
   let window_id = ref 0 in
   (* Gamma table: (covered length, structure code, right window end) ->
      per-candidate curves.  Only non-empty entries are stored. *)
-  let gamma : (int * int * int, Build.t Curve.t array) Hashtbl.t =
+  let gamma : (int * int * int, Build.prov Curve.t array) Hashtbl.t =
     Hashtbl.create 256
   in
   let gamma_find len e r =
@@ -366,10 +362,12 @@ let construct ?candidates ~cfg ~tech ~buffers (net : Net.t) order =
   List.iter merge_window windows;
   (* With one sink no merge holds the initialisation's run. *)
   if n = 1 then Star_ptree.drop context [| Star_ptree.Sink_term (sink_at 0) |];
-  (* EXTRACTION (Fig. 9 lines 21-23): connect the driver. *)
+  (* EXTRACTION (Fig. 9 lines 21-23): connect the driver, and build the
+     trees and member lists of the final curve's points, the only ones
+     of the construction that are read. *)
   let final =
     match gamma_find n Grouping.Chi0 (n - 1) with
     | None -> Curve.empty
-    | Some top -> Batch.to_driver ~tech net top
+    | Some top -> Curve.map_data Build.materialise (Batch.to_driver ~tech net top)
   in
   { curve = final; candidates; merges = !merges }

@@ -6,11 +6,54 @@ open Merlin_curves
 
 type t = { tree : Rtree.t; members : Catree.member list }
 
-type sol = t Solution.t
+(* A point's provenance: the move that made it and its operands.  Each
+   move allocates one block (a wire 3 words, a buffer or a join 4), and
+   the operands are shared with the points they came from. *)
+type prov =
+  | Sink of Sink.t
+  | Wire of { at : Point.t; sub : prov }
+  | Buffered of { at : Point.t; buffer : Buffer_lib.buffer; sub : prov }
+  | Join of { at : Point.t; left : prov; right : prov }
+  | Chain of prov
 
-let of_sink s =
-  Solution.make ~req:s.Sink.req ~load:s.Sink.cap ~area:0.0
-    { tree = Rtree.Leaf s; members = [ Catree.Direct s.Sink.id ] }
+type sol = prov Solution.t
+
+let of_sink s = Solution.make ~req:s.Sink.req ~load:s.Sink.cap ~area:0.0 (Sink s)
+
+let rec root = function
+  | Sink s -> s.Sink.pt
+  | Wire { at; _ } | Buffered { at; _ } | Join { at; _ } -> at
+  | Chain p -> root p
+
+let rec buffered_root = function
+  | Buffered _ -> true
+  | Chain p -> buffered_root p
+  | Sink _ | Wire _ | Join _ -> false
+
+(* Whether the tree of [p] is a bare leaf. *)
+let rec leaf = function
+  | Sink _ -> true
+  | Chain p -> leaf p
+  | Wire _ | Buffered _ | Join _ -> false
+
+(* The data-only forms record each move; [extend_wire] below and the
+   batch DP loops, which take the coordinates from the cost-only twins
+   further down, both go through them.  A wire to a node's own point
+   re-uses the node, but a bare leaf is wrapped in a node even over a
+   zero-length wire. *)
+
+let extend_wire_data ~to_ p =
+  if (not (leaf p)) && Point.equal (root p) to_ then p
+  else Wire { at = to_; sub = p }
+
+let add_root_buffer_data b p = Buffered { at = root p; buffer = b; sub = p }
+
+let join_data at a b =
+  if not (Point.equal (root a) at && Point.equal (root b) at) then
+    invalid_arg "Build.join: solutions not rooted at the join point";
+  Join { at; left = a; right = b }
+
+let chain p = Chain p
 
 (* Children of a tree when grafted under a new unbuffered node at the same
    location: splice to avoid stacking zero-length degenerate nodes. *)
@@ -20,31 +63,33 @@ let graft_children at tree =
     children
   | Rtree.Leaf _ | Rtree.Node _ -> [ tree ]
 
-(* The data-only forms build each move's tree; the full moves below and
-   the batch DP loops, which take the coordinates from the cost-only
-   twins further down, both go through them. *)
+let rec tree = function
+  | Sink s -> Rtree.Leaf s
+  | Wire { at; sub } -> Rtree.node at [ tree sub ]
+  | Buffered { at; buffer; sub } ->
+    Rtree.node ~buffer at (graft_children at (tree sub))
+  | Join { at; left; right } ->
+    Rtree.node at
+      (graft_children at (tree left) @ graft_children at (tree right))
+  | Chain p -> tree p
 
-let extend_wire_data ~to_ data =
-  match data.tree with
-  | Rtree.Node _ when Point.equal (Rtree.attach_point data.tree) to_ -> data
-  | Rtree.Leaf _ | Rtree.Node _ ->
-    { data with tree = Rtree.node to_ [ data.tree ] }
+(* The members of [p] in realised order, in front of [rest]: a join
+   lists its left operand's before its right one's, and a chain is one
+   member, the level of the members under it. *)
+let rec members_onto p rest =
+  match p with
+  | Sink s -> Catree.Direct s.Sink.id :: rest
+  | Wire { sub; _ } | Buffered { sub; _ } -> members_onto sub rest
+  | Join { left; right; _ } -> members_onto left (members_onto right rest)
+  | Chain p -> Catree.Chain (Catree.level (members_onto p [])) :: rest
 
-let add_root_buffer_data b data =
-  let at = Rtree.attach_point data.tree in
-  { data with tree = Rtree.node ~buffer:b at (graft_children at data.tree) }
+let members p = members_onto p []
 
-let join_data at a b =
-  if not
-       (Point.equal (Rtree.attach_point a.tree) at
-        && Point.equal (Rtree.attach_point b.tree) at)
-  then invalid_arg "Build.join: solutions not rooted at the join point";
-  { tree = Rtree.node at (graft_children at a.tree @ graft_children at b.tree);
-    members = a.members @ b.members }
+let materialise p = { tree = tree p; members = members p }
 
 let extend_wire tech ~to_ (s : sol) =
   let data = extend_wire_data ~to_ s.Solution.data in
-  let from = Rtree.attach_point s.Solution.data.tree in
+  let from = root s.Solution.data in
   if Point.equal from to_ then { s with Solution.data = data }
   else begin
     let len = Point.manhattan from to_ in
@@ -53,31 +98,17 @@ let extend_wire tech ~to_ (s : sol) =
     Solution.make ~req ~load ~area:s.Solution.area data
   end
 
-let add_root_buffer b (s : sol) =
-  let req = s.Solution.req -. Buffer_lib.delay b ~load:s.Solution.load in
-  Solution.make ~req ~load:b.Buffer_lib.input_cap
-    ~area:(s.Solution.area +. b.Buffer_lib.area)
-    (add_root_buffer_data b s.Solution.data)
-
-let join at (a : sol) (b : sol) =
-  let data = join_data at a.Solution.data b.Solution.data in
-  Solution.make
-    ~req:(min a.Solution.req b.Solution.req)
-    ~load:(a.Solution.load +. b.Solution.load)
-    ~area:(a.Solution.area +. b.Solution.area)
-    data
-
 (* Cost-only twins of the three moves, for the batch DP loops: they
    compute the exact (req, load, area) the move would produce — the same
-   float expressions, so results are bit-identical — without building the
-   routing tree.  They read their operands straight out of a curve's
+   float expressions, so results are bit-identical — without recording
+   the move.  They read their operands straight out of a curve's
    columns (point [i] of [c]), so no float is boxed on the way in, and
    write the results into a caller-owned Curve.Builder.cost record (flat
    all-float storage) instead of returning them: non-flambda cannot
    deforest a returned tuple, so a tuple-returning version allocates the
    tuple plus three boxed floats per candidate in the hottest loops of
    the whole program.  The loops push the record with
-   Curve.Builder.push_cost and materialise trees with the data-only
+   Curve.Builder.push_cost and record provenance with the data-only
    forms, only for the points a curve keeps. *)
 
 (* The wire and buffer delays of the twins, restated from
@@ -87,7 +118,7 @@ let join at (a : sol) (b : sol) =
    it returns, two floats per candidate: dune's dev profile compiles
    with -opaque, so nothing is inlined across modules.  The test
    [core: build moves = data-only form + cost twin] pins every twin to
-   its full move bitwise. *)
+   the eager reference moves of the tests bitwise. *)
 let[@inline] wire_cap tech len = tech.Tech.unit_wire_cap *. float_of_int len
 
 let[@inline] wire_elmore tech len load =
@@ -99,10 +130,10 @@ let[@inline] buffer_delay b load =
   let rc = Tech.ps_per_ohm_ff *. m.Delay_model.r_drive *. load in
   m.Delay_model.d0 +. rc +. (m.Delay_model.k_slew *. Delay_model.nominal_slew)
 
-let extend_wire_cost_into (c : Curve.Builder.cost) tech ~to_ (s : t Curve.t) i =
+let extend_wire_cost_into (c : Curve.Builder.cost) tech ~to_ (s : prov Curve.t) i =
   let req = Float.Array.get s.Curve.req i
   and load = Float.Array.get s.Curve.load i in
-  let from = Rtree.attach_point s.Curve.data.(i).tree in
+  let from = root s.Curve.data.(i) in
   if Point.equal from to_ then begin
     c.Curve.Builder.creq <- req;
     c.Curve.Builder.cload <- load

@@ -5,8 +5,8 @@ open Merlin_curves
    lazy relocations to other roots — the paper's d(p,p') move applied on
    demand instead of as a k^2 sweep. *)
 type cell = {
-  computed : Build.t Curve.t array;
-  memo : Build.t Curve.t option array;
+  computed : Build.prov Curve.t array;
+  memo : Build.prov Curve.t option array;
 }
 
 let same_ints (a : int array) (b : int array) =
@@ -39,7 +39,7 @@ type context = {
    hit another's cells, whichever context it is used with. *)
 let next_sub = Atomic.make 0
 
-type sub = { id : int; curves : Build.t Curve.t array }
+type sub = { id : int; curves : Build.prov Curve.t array }
 
 type terminal =
   | Sink_term of Merlin_net.Sink.t

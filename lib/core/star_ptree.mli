@@ -65,7 +65,7 @@ type sub
 (** [sub curves] makes a sub-group terminal.  Make exactly one per
     sub-group and reuse it: memoised cells are keyed by this identity,
     not by the curves. *)
-val sub : Build.t Curve.t array -> sub
+val sub : Build.prov Curve.t array -> sub
 
 type terminal =
   | Sink_term of Sink.t
@@ -90,7 +90,7 @@ module Runs : Hashtbl.S with type key = int array
     context per call gives the same curves.  Raises [Invalid_argument]
     on empty [terminals], [candidates] or [active]. *)
 val run_in :
-  context -> active:int array -> terminals:terminal array -> Build.t Curve.t array
+  context -> active:int array -> terminals:terminal array -> Build.prov Curve.t array
 
 (** One reading of the kernel counters, process totals.  They count
     computed work only, so a memoised cell adds nothing, and only

@@ -85,4 +85,4 @@ let insert ~tech ~buffers ?trials ?max_curve ?refine_seg (net : Net.t) tree =
       if refined.Solution.req >= node_only.Solution.req then refined
       else node_only
   in
-  chosen.Solution.data.Build.tree
+  Build.tree chosen.Solution.data

@@ -27,7 +27,7 @@ val curve :
   ?max_curve:int ->
   ?refine_seg:int ->
   Rtree.t ->
-  Merlin_core.Build.t Curve.t
+  Merlin_core.Build.prov Curve.t
 
 (** [insert ~tech ~buffers ~driver ?refine_seg net tree] buffers [tree]
     (which must be rooted at the net source) to maximise the required time

@@ -32,5 +32,5 @@ let route ~tech ?max_curve ?candidates ?order (net : Net.t) =
   let order = match order with Some o -> o | None -> Tsp.order net in
   let c = curve ~tech ?max_curve ~candidates ~order net in
   match Curve.best_req c with
-  | Some sol -> sol.Solution.data.Build.tree
+  | Some sol -> Build.tree sol.Solution.data
   | None -> assert false (* nonempty net always yields a routing *)

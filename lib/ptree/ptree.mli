@@ -30,7 +30,7 @@ val curve :
   candidates:Point.t array ->
   order:Order.t ->
   Net.t ->
-  Merlin_core.Build.t Curve.t
+  Merlin_core.Build.prov Curve.t
 
 (** [route ~tech net] — TSP order, default candidates, best-required-time
     routing tree. *)

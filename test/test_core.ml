@@ -5,6 +5,7 @@ open Merlin_rtree
 open Merlin_curves
 open Merlin_order
 open Merlin_core
+module R = Build_reference
 
 let tech = Tech.default
 let buffers = Buffer_lib.default
@@ -115,7 +116,7 @@ let test_star_single_sink () =
     (fun curve ->
        List.iter
          (fun sol ->
-            let tree = sol.Solution.data.Build.tree in
+            let tree = Build.tree sol.Solution.data in
             Alcotest.(check (list int)) "covers sink 0" [ 0 ]
               (Rtree.sink_ids_in_order tree))
          (Curve_reference.of_curve curve))
@@ -134,7 +135,7 @@ let test_star_order_preserved () =
        List.iter
          (fun sol ->
             Alcotest.(check (list int)) "terminal order preserved" [ 0; 1; 2; 3 ]
-              (Rtree.sink_ids_in_order sol.Solution.data.Build.tree))
+              (Rtree.sink_ids_in_order (Build.tree sol.Solution.data)))
          (Curve_reference.of_curve curve))
     out
 
@@ -147,7 +148,7 @@ let test_star_internal_consistency () =
     (fun curve ->
        List.iter
          (fun sol ->
-            let ev = Eval.subtree tech sol.Solution.data.Build.tree in
+            let ev = Eval.subtree tech (Build.tree sol.Solution.data) in
             Alcotest.(check (float 1e-6)) "req" ev.Eval.req sol.Solution.req;
             Alcotest.(check (float 1e-6)) "load" ev.Eval.load sol.Solution.load;
             Alcotest.(check (float 1e-6)) "area" ev.Eval.buf_area sol.Solution.area)
@@ -174,6 +175,11 @@ let rec member_equal a b =
   | Catree.Chain t, Catree.Chain u ->
     List.equal member_equal t.Catree.members u.Catree.members
   | Catree.Direct _, Catree.Chain _ | Catree.Chain _, Catree.Direct _ -> false
+
+(* Equal trees and member lists. *)
+let same_built (d : Build.t) (e : Build.t) =
+  rtree_equal d.Build.tree e.Build.tree
+  && List.equal member_equal d.Build.members e.Build.members
 
 (* Runs through one shared context must equal runs each on a fresh
    context: random call sequences over one net with overlapping
@@ -217,13 +223,13 @@ let prop_star_context_memo (seed, script) =
   let same_curve a b =
     Curve.size a = Curve.size b
     && List.for_all2
-         (fun (x : Build.t Solution.t) (y : Build.t Solution.t) ->
+         (fun (x : Build.sol) (y : Build.sol) ->
             Float.equal x.Solution.req y.Solution.req
             && Float.equal x.Solution.load y.Solution.load
             && Float.equal x.Solution.area y.Solution.area
-            && rtree_equal x.Solution.data.Build.tree y.Solution.data.Build.tree
-            && List.equal member_equal x.Solution.data.Build.members
-                 y.Solution.data.Build.members)
+            && same_built
+                 (Build.materialise x.Solution.data)
+                 (Build.materialise y.Solution.data))
          (Curve_reference.of_curve a) (Curve_reference.of_curve b)
   in
   List.for_all
@@ -263,73 +269,192 @@ let prop_star_context_memo (seed, script) =
        Array.length memo = k && Array.for_all2 same_curve memo fresh)
     (List.init 10 (fun i -> i))
 
-(* Each full move of Build must be its data-only form paired with its
-   cost-only twin: the same tree and member list, and bitwise the same
-   coordinates.  The batch DP loops build curves from the two halves, so
-   a drift between them would change what they keep. *)
+(* Each move's data-only form paired with its cost-only twin must be
+   the eager reference move: the same tree and member list once
+   materialised, and bitwise the same coordinates.  The batch DP loops
+   build curves from the two halves, so a drift between them would
+   change what they keep.  [Build.extend_wire], the one full move the
+   program keeps, must match its reference too.  A pool entry is a point
+   twice: as provenance and as the reference solution. *)
 let prop_build_moves_split seed =
   let rng = Random.State.make [| seed |] in
   let net = mk_net 6 seed in
   let cost = Curve.Builder.new_cost () in
   let same_bits x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
-  let same_cost (s : Build.sol) =
-    same_bits cost.Curve.Builder.creq s.Solution.req
-    && same_bits cost.Curve.Builder.cload s.Solution.load
-    && same_bits cost.Curve.Builder.carea s.Solution.area
+  let same_cost (r : R.sol) =
+    same_bits cost.Curve.Builder.creq r.Solution.req
+    && same_bits cost.Curve.Builder.cload r.Solution.load
+    && same_bits cost.Curve.Builder.carea r.Solution.area
   in
-  let same_data (d : Build.t) (s : Build.sol) =
-    rtree_equal d.Build.tree s.Solution.data.Build.tree
-    && List.equal member_equal d.Build.members s.Solution.data.Build.members
+  let same_sol (p : Build.sol) (r : R.sol) =
+    same_bits p.Solution.req r.Solution.req
+    && same_bits p.Solution.load r.Solution.load
+    && same_bits p.Solution.area r.Solution.area
+    && same_built (Build.materialise p.Solution.data) r.Solution.data
+  in
+  (* The point the twin and the data-only form make, checked against
+     the reference move [r]. *)
+  let made data (r : R.sol) =
+    let p =
+      Solution.make ~req:cost.Curve.Builder.creq ~load:cost.Curve.Builder.cload
+        ~area:cost.Curve.Builder.carea data
+    in
+    ((p, r), same_cost r && same_sol p r)
   in
   let random_point () =
-    let at s = Rtree.attach_point s.Solution.data.Build.tree in
     let s = Net.sink net (Random.State.int rng 6) in
     match Random.State.int rng 3 with
-    | 0 -> at (Build.of_sink s)
+    | 0 -> s.Sink.pt
     | _ ->
       Point.make
         (s.Sink.pt.Point.x + Random.State.int rng 200)
         (s.Sink.pt.Point.y + Random.State.int rng 200)
   in
-  let extend s =
-    let to_ = random_point () in
-    let full = Build.extend_wire tech ~to_ s in
-    Build.extend_wire_cost_into cost tech ~to_ (Curve.singleton s) 0;
-    (full,
-     same_cost full && same_data (Build.extend_wire_data ~to_ s.Solution.data) full)
+  let extend_to to_ ((p : Build.sol), r) =
+    let full = Build.extend_wire tech ~to_ p in
+    Build.extend_wire_cost_into cost tech ~to_ (Curve.singleton p) 0;
+    let (p', r'), ok =
+      made (Build.extend_wire_data ~to_ p.Solution.data) (R.extend_wire tech ~to_ r)
+    in
+    ((p', r'), ok && same_sol full r')
   in
-  let buffer s =
+  let extend x = extend_to (random_point ()) x in
+  let buffer ((p : Build.sol), r) =
     let b = buffers.(Random.State.int rng (Array.length buffers)) in
-    let full = Build.add_root_buffer b s in
-    Build.add_root_buffer_cost_into cost b (Curve.singleton s) 0;
-    (full,
-     same_cost full && same_data (Build.add_root_buffer_data b s.Solution.data) full)
+    Build.add_root_buffer_cost_into cost b (Curve.singleton p) 0;
+    made (Build.add_root_buffer_data b p.Solution.data) (R.add_root_buffer b r)
   in
-  let join a b =
+  let join x y =
     let at = random_point () in
-    let a = Build.extend_wire tech ~to_:at a
-    and b = Build.extend_wire tech ~to_:at b in
-    let full = Build.join at a b in
+    let ((a : Build.sol), ra), ok_a = extend_to at x
+    and ((b : Build.sol), rb), ok_b = extend_to at y in
     Build.join_cost_into cost (Curve.singleton a) 0 (Curve.singleton b) 0;
-    (full,
-     same_cost full
-     && same_data (Build.join_data at a.Solution.data b.Solution.data) full)
+    let x', ok = made (Build.join_data at a.Solution.data b.Solution.data) (R.join at ra rb) in
+    (x', ok && ok_a && ok_b)
   in
   (* A random walk of moves over solutions grown from the net's sinks,
      so the moves also meet buffered roots and earlier joins. *)
-  let pool = Array.init 6 (fun i -> Build.of_sink (Net.sink net i)) in
+  let pool =
+    Array.init 6 (fun i ->
+        let s = Net.sink net i in
+        (Build.of_sink s, R.of_sink s))
+  in
   List.for_all
     (fun _ ->
        let i = Random.State.int rng 6 in
-       let s, ok =
+       let x, ok =
          match Random.State.int rng 3 with
          | 0 -> extend pool.(i)
          | 1 -> buffer pool.(i)
          | _ -> join pool.(i) pool.(Random.State.int rng 6)
        in
-       pool.(i) <- s;
+       pool.(i) <- x;
        ok)
     (List.init 30 (fun i -> i))
+
+(* Random move sequences over a pool of points grown from a net's
+   sinks, each held twice: as provenance and as the eager reference
+   payload.  Wires go to the operand's own root (a zero-length wire), a
+   sink's point or a random point; a buffer is one of the default
+   library's; a join wires both operands to a common point first; a
+   chain closes a sub-group.  Materialising the provenance must give
+   the reference's tree and members.  A chain over a level the
+   reference refuses (two chains) must make [Build.members] refuse
+   too, since its check runs at extraction.  Joins stop growing a point
+   past 48 sinks: the trees double with each self-join. *)
+let prop_materialise_reference seed =
+  let rng = Random.State.make [| seed |] in
+  let n = 2 + Random.State.int rng 7 in
+  let net = mk_net n seed in
+  let draw k = Random.State.int rng k in
+  let pool =
+    Array.init n (fun i ->
+        let s = Net.sink net i in
+        (Build.Sink s, (R.of_sink s).Solution.data))
+  in
+  let size = Array.make n 1 in
+  let random_point (p, _) =
+    match draw 3 with
+    | 0 -> Build.root p
+    | 1 -> (Net.sink net (draw n)).Sink.pt
+    | _ -> Point.make (draw 3000) (draw 3000)
+  in
+  let wire to_ (p, r) = (Build.extend_wire_data ~to_ p, R.extend_wire_data ~to_ r) in
+  (* One move on point [i]; false when the two forms disagree on a
+     refused chain. *)
+  let step i =
+    let x = pool.(i) in
+    let j = draw n in
+    match draw 4 with
+    | 0 ->
+      pool.(i) <- wire (random_point x) x;
+      true
+    | 1 ->
+      let b = buffers.(draw (Array.length buffers)) in
+      pool.(i) <- (Build.add_root_buffer_data b (fst x), R.add_root_buffer_data b (snd x));
+      true
+    | 2 when size.(i) + size.(j) <= 48 ->
+      let at = random_point x in
+      let pa, ra = wire at x and pb, rb = wire at pool.(j) in
+      pool.(i) <- (Build.join_data at pa pb, R.join_data at ra rb);
+      size.(i) <- size.(i) + size.(j);
+      true
+    | 2 -> true
+    | _ -> (
+      match R.chain (snd x) with
+      | r ->
+        pool.(i) <- (Build.chain (fst x), r);
+        true
+      | exception Invalid_argument _ -> (
+        match Build.members (Build.chain (fst x)) with
+        | _ -> false
+        | exception Invalid_argument _ -> true))
+  in
+  let agree (p, r) = same_built (Build.materialise p) r in
+  List.for_all
+    (fun _ -> step (draw n) && Array.for_all agree pool)
+    (List.init 40 (fun i -> i))
+
+(* Each move records one block and nothing else: a join or a buffer 4
+   words (header and three fields), a wire 3, and a wire to a node's
+   own point none.  Bytes are read as in [curve_kernel: a warm build
+   allocates only its output], less the cost of a reading.  Native code
+   only: the bytecode interpreter allocates on the way. *)
+let test_payload_bytes () =
+  let word = Sys.word_size / 8 in
+  let net = mk_net 2 3 in
+  let s0 = Net.sink net 0 and s1 = Net.sink net 1 in
+  let at = Point.make 500 500 and far = Point.make 900 100 in
+  let leaf = Build.Sink s0 in
+  let a = Build.extend_wire_data ~to_:at leaf
+  and b = Build.extend_wire_data ~to_:at (Build.Sink s1) in
+  let joined = Build.join_data at a b in
+  let bytes = Star_ptree.allocated_bytes in
+  let reading =
+    let x = bytes () in
+    let y = bytes () in
+    y -. x
+  in
+  let measure label words f =
+    let before = bytes () in
+    let p = f () in
+    let got = bytes () -. before -. reading in
+    ignore (Sys.opaque_identity p);
+    let expected = float_of_int (words * word) in
+    match Sys.backend_type with
+    | Sys.Native -> Alcotest.(check (float 0.0)) label expected got
+    | Sys.Bytecode | Sys.Other _ ->
+      Alcotest.(check bool) label true (got >= expected)
+  in
+  measure "join_data" 4 (fun () -> Build.join_data at a b);
+  measure "add_root_buffer_data" 4 (fun () ->
+      Build.add_root_buffer_data buffers.(0) joined);
+  measure "extend_wire_data, a wire" 3 (fun () ->
+      Build.extend_wire_data ~to_:far joined);
+  measure "extend_wire_data, a sink at its own point" 3 (fun () ->
+      Build.extend_wire_data ~to_:s0.Sink.pt leaf);
+  measure "extend_wire_data, a node at its own point" 0 (fun () ->
+      Build.extend_wire_data ~to_:at joined)
 
 (* ---------- *PTREE candidate pre-filters ---------- *)
 
@@ -367,18 +492,17 @@ let random_curve rng ~width ~flat ~lattice (req_grid, load_grid, area_grid)
   done;
   Curve.Builder.build ~max_size:width bld
 
-(* Bitwise coordinates, equal trees and members, in the same order. *)
-let same_points x y =
+(* Bitwise coordinates, and [y]'s provenance materialised to [x]'s
+   trees and members, in the same order. *)
+let same_points (x : Build.t Curve.t) (y : Build.prov Curve.t) =
   let bits = Int64.bits_of_float in
   Curve.size x = Curve.size y
   && List.for_all2
-       (fun (s : Build.sol) (t : Build.sol) ->
+       (fun (s : R.sol) (t : Build.sol) ->
           Int64.equal (bits s.Solution.req) (bits t.Solution.req)
           && Int64.equal (bits s.Solution.load) (bits t.Solution.load)
           && Int64.equal (bits s.Solution.area) (bits t.Solution.area)
-          && rtree_equal s.Solution.data.Build.tree t.Solution.data.Build.tree
-          && List.equal member_equal s.Solution.data.Build.members
-               t.Solution.data.Build.members)
+          && same_built s.Solution.data (Build.materialise t.Solution.data))
        (Curve_reference.of_curve x) (Curve_reference.of_curve y)
 
 let push_quantised bld (req_grid, load_grid, area_grid) ~req ~load ~area data =
@@ -389,14 +513,15 @@ let push_quantised bld (req_grid, load_grid, area_grid) ~req ~load ~area data =
   Curve.Builder.push bld ~req:q.Solution.req ~load:q.Solution.load
     ~area:q.Solution.area data
 
-(* The payload of point [i] of join operand [tag]: a sink of [net]
-   wired to [root], where every pair can join, and a member unique to
-   the operand and point, so a pair decoded from the wrong split or
-   index shows. *)
+(* The payload of point [i] of join operand [tag], as provenance and
+   as the reference payload: a sink of [net] wired to [root], where
+   every pair can join, under an id unique to the operand and point, so
+   a pair decoded from the wrong split or index shows. *)
 let operand_data net root tag i =
-  { (Build.extend_wire tech ~to_:root (Build.of_sink (Net.sink net i)))
-    .Solution.data
-    with Build.members = [ Catree.Direct ((100 * tag) + i) ] }
+  let s = Net.sink net i in
+  let s = Sink.make ~id:((100 * tag) + i) ~pt:s.Sink.pt ~cap:s.Sink.cap ~req:s.Sink.req in
+  (Build.extend_wire_data ~to_:root (Build.Sink s),
+   (R.extend_wire tech ~to_:root (R.of_sink s)).Solution.data)
 
 (* The filtered join batch builds the same curve as pushing every pair
    of every split: 1-3 splits into one batch, capped or not. *)
@@ -423,16 +548,19 @@ let prop_join_prefilter seed =
          (fun a ->
             List.iter
               (fun b ->
-                 let t = Build.join root a b in
+                 let t = R.join root a b in
                  push_quantised reference quant ~req:t.Solution.req
                    ~load:t.Solution.load ~area:t.Solution.area t.Solution.data;
                  incr product)
-              (Curve_reference.of_curve right))
-         (Curve_reference.of_curve left))
+              (Curve_reference.of_curve (Curve.map_data snd right)))
+         (Curve_reference.of_curve (Curve.map_data snd left)))
     splits;
   let expected = Curve.Builder.build ~max_size:max_curve reference in
   let batch = Batch.create ~tech ~subset:[||] ~max_curve ~quant in
-  List.iteri (fun s (left, right) -> Batch.split batch s left right) splits;
+  List.iteri
+    (fun s (left, right) ->
+       Batch.split batch s (Curve.map_data fst left) (Curve.map_data fst right))
+    splits;
   let got = Batch.join batch root (List.length splits) in
   same_points expected got
   && Int.equal (Curve.Builder.kept reference) (Batch.kept batch)
@@ -450,7 +578,7 @@ let prop_join_prefilter_flat seed =
     random_curve rng ~width:12 ~flat:true ~lattice:true quant
       (operand_data net root tag)
   in
-  let left = curve 0 and right = curve 1 in
+  let left = Curve.map_data fst (curve 0) and right = Curve.map_data fst (curve 1) in
   let batch = Batch.create ~tech ~subset:[||] ~max_curve:max_int ~quant in
   Batch.split batch 0 left right;
   ignore (Batch.join batch root 1);
@@ -474,13 +602,17 @@ let prop_close_prefilter seed =
   let subset = Array.sub library 0 (Random.State.int rng 9) in
   let rebuffer = Random.State.bool rng in
   let max_curve = 2 + Random.State.int rng 8 in
-  let curve =
+  let curves =
     random_curve rng ~width:12 ~flat ~lattice quant (fun i ->
-        let s = Build.of_sink (Net.sink net i) in
-        if Random.State.int rng 4 = 0 then
-          (Build.add_root_buffer buffers.(Random.State.int rng 34) s).Solution.data
-        else s.Solution.data)
+        let s = Net.sink net i in
+        if Random.State.int rng 4 = 0 then begin
+          let b = buffers.(Random.State.int rng 34) in
+          (Build.add_root_buffer_data b (Build.Sink s),
+           (R.add_root_buffer b (R.of_sink s)).Solution.data)
+        end
+        else (Build.Sink s, (R.of_sink s).Solution.data))
   in
+  let curve = Curve.map_data snd curves in
   let reference = Curve.Builder.create () in
   Curve.Builder.add_curve reference curve;
   let trials = ref 0 in
@@ -491,7 +623,7 @@ let prop_close_prefilter seed =
        | Rtree.Leaf _ | Rtree.Node _ ->
          Array.iter
            (fun b ->
-              let t = Build.add_root_buffer b s in
+              let t = R.add_root_buffer b s in
               push_quantised reference quant ~req:t.Solution.req
                 ~load:t.Solution.load ~area:t.Solution.area t.Solution.data;
               incr trials)
@@ -499,7 +631,7 @@ let prop_close_prefilter seed =
     (Curve_reference.of_curve curve);
   let expected = Curve.Builder.build ~max_size:max_curve reference in
   let batch = Batch.create ~tech ~subset ~max_curve ~quant in
-  let got = Batch.close batch ~rebuffer curve in
+  let got = Batch.close batch ~rebuffer (Curve.map_data fst curves) in
   same_points expected got
   && Int.equal (Curve.Builder.kept reference) (Batch.kept batch)
   && Int.equal (Batch.pushed batch + Batch.filtered batch) !trials
@@ -781,6 +913,11 @@ let suite =
       QCheck_alcotest.to_alcotest
         (QCheck.Test.make ~name:"build moves = data-only form + cost twin"
            ~count:100 QCheck.(int_bound 10_000) prop_build_moves_split);
+      QCheck_alcotest.to_alcotest
+        (QCheck.Test.make ~name:"provenance walk = eager reference moves"
+           ~count:300 QCheck.(int_bound 1_000_000) prop_materialise_reference);
+      Alcotest.test_case "build payloads allocate one block" `Quick
+        test_payload_bytes;
       QCheck_alcotest.to_alcotest
         (QCheck.Test.make ~name:"join pre-filter = unfiltered join build"
            ~count:2000 QCheck.(int_bound 1_000_000) prop_join_prefilter);

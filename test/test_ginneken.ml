@@ -93,7 +93,7 @@ let test_sink_on_source () =
     (Curve_reference.of_curve (VG.curve ~tech ~buffers routed));
   let best = Option.get (Curve.best_req (Curve.Builder.build bld)) in
   Alcotest.(check bool) "same tree" true
-    (Test_core.rtree_equal best.Solution.data.Merlin_core.Build.tree
+    (Test_core.rtree_equal (Merlin_core.Build.tree best.Solution.data)
        (VG.insert ~tech ~buffers net routed))
 
 (* Van Ginneken runs its batches through Batch, which moves no *PTREE
@@ -111,11 +111,12 @@ let test_star_counters_untouched () =
       d.bytes_base ]
 
 (* The walk that builds every candidate's solution and tree before it
-   prunes, kept as the reference for [VG.curve], which pushes costs and
-   builds trees only for the points a batch keeps: the same batches in
-   the same push order, so the same curves down to trees and order. *)
+   prunes, with the eager reference moves, kept as the reference for
+   [VG.curve], which pushes costs and records provenance only for the
+   points a batch keeps: the same batches in the same push order, so
+   the same curves down to trees and order. *)
 let reference_curve ~tech ~buffers ?trials ?(max_curve = 16) ?refine_seg tree =
-  let module Build = Merlin_core.Build in
+  let module R = Build_reference in
   let subset =
     match trials with
     | None -> buffers
@@ -140,16 +141,16 @@ let reference_curve ~tech ~buffers ?trials ?(max_curve = 16) ?refine_seg tree =
     List.iter
       (fun sol ->
          Array.iter
-           (fun b -> Curve.Builder.add bld (Build.add_root_buffer b sol))
+           (fun b -> Curve.Builder.add bld (R.add_root_buffer b sol))
            subset)
       (Curve_reference.of_curve c);
     Curve.Builder.build ~max_size:max_curve bld
   in
   let rec walk = function
-    | Rtree.Leaf s -> close (Curve.singleton (Build.of_sink s))
+    | Rtree.Leaf s -> close (Curve.singleton (R.of_sink s))
     | Rtree.Node n ->
       let child_curve child =
-        map_build (Build.extend_wire tech ~to_:n.Rtree.loc) (walk child)
+        map_build (R.extend_wire tech ~to_:n.Rtree.loc) (walk child)
       in
       let join2 acc child =
         let c = child_curve child in
@@ -160,7 +161,7 @@ let reference_curve ~tech ~buffers ?trials ?(max_curve = 16) ?refine_seg tree =
           List.iter
             (fun a ->
                List.iter
-                 (fun b -> Curve.Builder.add bld (Build.join n.Rtree.loc a b))
+                 (fun b -> Curve.Builder.add bld (R.join n.Rtree.loc a b))
                  (Curve_reference.of_curve c))
             (Curve_reference.of_curve acc);
           Some (Curve.Builder.build ~max_size:max_curve bld)
@@ -173,7 +174,7 @@ let reference_curve ~tech ~buffers ?trials ?(max_curve = 16) ?refine_seg tree =
       let with_own_buffer =
         match n.Rtree.buffer with
         | None -> joined
-        | Some b -> map_build (Build.add_root_buffer b) joined
+        | Some b -> map_build (R.add_root_buffer b) joined
       in
       close with_own_buffer
   in
@@ -225,21 +226,20 @@ let random_tree rng net =
   in
   Rtree.node net.Net.source (groups 0 (Array.to_list net.Net.sinks))
 
-(* Bitwise coordinates, equal trees and member lists (sinks by id,
-   buffers by name), in the same order. *)
+(* Bitwise coordinates, and [x]'s provenance materialised to [y]'s
+   trees and member lists (sinks by id, buffers by name), in the same
+   order. *)
 let same_curves x y =
   let bits = Int64.bits_of_float in
   Curve.size x = Curve.size y
   && List.for_all2
-       (fun (s : Merlin_core.Build.t Solution.t) t ->
+       (fun (s : Merlin_core.Build.sol) (t : Build_reference.sol) ->
           Int64.equal (bits s.Solution.req) (bits t.Solution.req)
           && Int64.equal (bits s.Solution.load) (bits t.Solution.load)
           && Int64.equal (bits s.Solution.area) (bits t.Solution.area)
-          && Test_core.rtree_equal s.Solution.data.Merlin_core.Build.tree
-               t.Solution.data.Merlin_core.Build.tree
-          && List.equal Test_core.member_equal
-               s.Solution.data.Merlin_core.Build.members
-               t.Solution.data.Merlin_core.Build.members)
+          && Test_core.same_built
+               (Merlin_core.Build.materialise s.Solution.data)
+               t.Solution.data)
        (Curve_reference.of_curve x) (Curve_reference.of_curve y)
 
 (* Random trees of 1-8 sinks, the whole library or 0-6 trials, small,

@@ -57,7 +57,7 @@ let test_curve_measured_at_driver () =
   Alcotest.(check bool) "nonempty" false (Curve.is_empty c);
   List.iter
     (fun sol ->
-       let ev = Eval.net tech net sol.Solution.data.Merlin_core.Build.tree in
+       let ev = Eval.net tech net (Merlin_core.Build.tree sol.Solution.data) in
        Alcotest.(check (float 1e-6)) "curve req matches evaluator"
          ev.Eval.root_req sol.Solution.req)
     (Curve_reference.of_curve c)
