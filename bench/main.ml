@@ -496,6 +496,18 @@ let alloc_budget_bytes_close_per_cell = 8444.0
    x1.25, so losing the memo cannot land silently. *)
 let cells_budget_per_merge = 1.45
 
+(* Committed allocation budget for the scaffolding of the same rows:
+   bytes allocated outside the four kernel windows per *PTREE run
+   ([scaffold_per_merge]: a row's Star_ptree.allocated_bytes delta less
+   its window bytes).  It covers planning the merges, the memo's
+   lookups and stored keys, dropping dying runs and each run's result.
+   The n=10 row read 18.1K with set-based planning, a box table per
+   run and a key per lookup, and 3104 once those allocated only what
+   they keep (EXPERIMENTS.md "Merge scaffolding").  The --smoke run
+   fails above budget x1.25, so a return to per-run tables or
+   per-lookup keys cannot land silently. *)
+let alloc_budget_bytes_scaffold_per_merge = 3104.0
+
 (* Committed allocation budget for Flow I's logic phase: bytes
    [Lttree.best] allocates, summed over the smoke Table 1 nets (n <= 10)
    at Flow I's max_fanout 10.  The answer-bounded DP measured 13.12 MB
@@ -536,6 +548,7 @@ let curve_row ~label ~n () =
   in
   Gc.full_major ();
   let before = Kernel.counts () in
+  let bytes_before = Kernel.allocated_bytes () in
   let m =
     Flows.run
       { Flows.tech; buffers;
@@ -544,8 +557,17 @@ let curve_row ~label ~n () =
             { cfg = Some cfg; objective = Merlin_core.Objective.Best_req } }
       net
   in
+  let bytes = Kernel.allocated_bytes () -. bytes_before in
   let d = Kernel.diff before (Kernel.counts ()) in
-  (label, n, m, d)
+  (label, n, m, d, bytes)
+
+(* Bytes a row allocates outside the four kernel windows (join, close,
+   pull, base) per *PTREE run: the scaffolding around the kernel, from
+   planning the merges to handing out each run's result. *)
+let scaffold_per_merge (d : Kernel.counts) bytes =
+  let windows = d.bytes_join + d.bytes_close + d.bytes_pull + d.bytes_base in
+  if d.runs = 0 then 0.0
+  else (bytes -. float_of_int windows) /. float_of_int d.runs
 
 let curve_table ~opts () =
   let rows_spec =
@@ -555,7 +577,7 @@ let curve_table ~opts () =
   let header =
     [ "row"; "req (ps)"; "area"; "rt(s)";
       "joins"; "adds/join"; "filt/join"; "B/join"; "close B/cell";
-      "front/join"; "cells/merge" ]
+      "front/join"; "cells/merge"; "scaf B/merge" ]
   in
   let (rows, lttree_bytes), wall_s =
     Clock.timed (fun () ->
@@ -571,7 +593,7 @@ let curve_table ~opts () =
   progress "[curve] wall %.2fs" wall_s;
   let cells =
     List.map
-      (fun (label, _n, m, (d : Kernel.counts)) ->
+      (fun (label, _n, m, (d : Kernel.counts), bytes) ->
          [ S label; F m.Flows.root_req; F m.Flows.area;
            F m.Flows.runtime; I d.joins;
            F (per d.joins d.join_adds);
@@ -579,7 +601,8 @@ let curve_table ~opts () =
            F (per d.joins d.bytes_join);
            F (per d.cells d.bytes_close);
            F (per d.joins d.join_survivors);
-           F (per d.runs d.cells) ])
+           F (per d.runs d.cells);
+           F (scaffold_per_merge d bytes) ])
       rows
   in
   print
@@ -588,7 +611,7 @@ let curve_table ~opts () =
     ~header cells;
   let json_rows =
     List.map
-      (fun (label, n, m, (d : Kernel.counts)) ->
+      (fun (label, n, m, (d : Kernel.counts), bytes) ->
          Json.Obj
            [ ("row", js label); ("sinks", ji n); ("req", jf m.Flows.root_req);
              ("area", jf m.Flows.area); ("runtime", jf m.Flows.runtime);
@@ -605,7 +628,8 @@ let curve_table ~opts () =
              ("bytes_close_per_cell", jf (per d.cells d.bytes_close));
              ("frontier_per_join", jf (per d.joins d.join_survivors));
              ("merges", ji d.runs); ("cells", ji d.cells);
-             ("cells_per_merge", jf (per d.runs d.cells)) ])
+             ("cells_per_merge", jf (per d.runs d.cells));
+             ("bytes_scaffold_per_merge", jf (scaffold_per_merge d bytes)) ])
       rows
   in
   write_json ~opts ~table:"curve" ~wall_s
@@ -616,6 +640,8 @@ let curve_table ~opts () =
                     ("bytes_close_per_cell_budget",
                      jf alloc_budget_bytes_close_per_cell);
                     ("cells_per_merge_budget", jf cells_budget_per_merge);
+                    ("bytes_scaffold_per_merge_budget",
+                     jf alloc_budget_bytes_scaffold_per_merge);
                     ("lttree_budget_bytes", jf lttree_budget_bytes) ] ]);
   (* The emitter must keep producing documents the repo's own JSON layer
      parses: read the file straight back.  Any Parse_error here fails the
@@ -642,7 +668,7 @@ let curve_table ~opts () =
          lttree_bytes lttree_budget_bytes);
   if opts.smoke then
     List.iter
-      (fun (label, _, _, (d : Kernel.counts)) ->
+      (fun (label, _, _, (d : Kernel.counts), bytes) ->
          let bpj = per d.joins d.bytes_join in
          if bpj > alloc_budget_bytes_per_join *. 1.25 then
            failwith
@@ -663,7 +689,15 @@ let curve_table ~opts () =
              (Printf.sprintf
                 "Bench.curve_table: %s computes %.2f cells/merge, over \
                  budget %.2f x1.25 — the *PTREE cell memo regressed"
-                label cpm cells_budget_per_merge))
+                label cpm cells_budget_per_merge);
+         let spm = scaffold_per_merge d bytes in
+         if spm > alloc_budget_bytes_scaffold_per_merge *. 1.25 then
+           failwith
+             (Printf.sprintf
+                "Bench.curve_table: %s allocates %.0f bytes/merge outside \
+                 the kernel windows, over budget %.0f x1.25 — the merge \
+                 scaffolding regressed"
+                label spm alloc_budget_bytes_scaffold_per_merge))
       rows
 
 (* ------------------------------------------------------------------ *)

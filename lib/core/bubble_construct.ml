@@ -9,27 +9,26 @@ type result = {
   merges : int;
 }
 
-(* One terminal of a planned merge: a sink position, or the chain built
-   from Gamma entry (length, structure, right window end). *)
-type slot = Pos of int | Chain of int * Grouping.t * int
-
-(* A planned merge: the Gamma entry it absorbs, its terminals in order,
-   and the runs slots.(i..j) of those terminals that no later merge
-   holds, whose memoised cells die with it. *)
+(* A planned merge: the Gamma entry it absorbs (by its key, see
+   [construct]), its terminals in order as slot tokens — a sink
+   position's even, a chain's odd — and the runs slots.(i..j) of those
+   terminals that no later merge holds, whose memoised cells die with
+   it, as codes i * m + j for m slots. *)
 type placement = {
-  inner : int * Grouping.t * int;
-  slots : slot array;
-  mutable dying : (int * int) list;
+  inner : int;
+  slots : int array;
+  mutable dying : int array;
 }
 
 (* A planned window: its Gamma key, covered positions and merges. *)
 type window = {
-  cov_len : int;
-  e_out : Grouping.t;
-  r_out : int;
+  key : int;
   covered : int list;
-  placements : placement list;
+  placements : placement array;
 }
+
+(* A skipped position, or -1: positions are never negative. *)
+let skipped = function Some pos -> pos | None -> -1
 
 let candidate_set (cfg : Config.t) net =
   let pts = Net.terminals net in
@@ -93,47 +92,228 @@ let construct ?candidates ~cfg ~tech ~buffers (net : Net.t) order =
   let merge_blds = Array.make k None in
   let merge_stamp = Array.make k 0 in
   let window_id = ref 0 in
-  (* Gamma table: (covered length, structure code, right window end) ->
-     per-candidate curves.  Only non-empty entries are stored. *)
-  let gamma : (int * int * int, Build.prov Curve.t array) Hashtbl.t =
-    Hashtbl.create 256
-  in
-  let gamma_find len e r =
-    Hashtbl.find_opt gamma (len, Grouping.code e, r)
-  in
-  let gamma_put len e r curves =
+  (* Gamma keys: (covered length, structure, right window end) as one
+     int below 4 n (n + 1).  A chain's slot token is 2 key + 1. *)
+  let key len e r = (((len * 4) + Grouping.code e) * n) + r in
+  (* Gamma table: per-candidate curves by key, [||] where absent.  Only
+     non-empty entries are stored. *)
+  let gamma = Array.make (4 * n * (n + 1)) [||] in
+  let gamma_put key curves =
     if Array.exists (fun c -> not (Curve.is_empty c)) curves then
-      Hashtbl.replace gamma (len, Grouping.code e, r) curves
+      gamma.(key) <- curves
   in
   (* Chain terminals, one per Gamma entry of length >= 2, made on first
      use and reused by every merge that absorbs that entry (the context
      keys its cells by their identity) until the last one. *)
-  let chains : (int * int * int, Star_ptree.sub) Hashtbl.t = Hashtbl.create 64 in
-  let chain_terminal len e r inner_curves =
-    let key = (len, Grouping.code e, r) in
-    match Hashtbl.find_opt chains key with
-    | Some sub -> sub
+  let chains = Array.make (4 * n * (n + 1)) None in
+  let chain_terminal key inner_curves =
+    match chains.(key) with
+    | Some term -> term
     | None ->
-      let sub = Star_ptree.sub (chain_curves inner_curves) in
-      Hashtbl.replace chains key sub;
-      sub
+      let term =
+        Star_ptree.Sub_term (Star_ptree.sub (chain_curves inner_curves))
+      in
+      chains.(key) <- Some term;
+      term
   in
   let sink_at pos = Net.sink net order.(pos) in
+  let sink_terms =
+    Array.init n (fun pos -> Star_ptree.Sink_term (sink_at pos))
+  in
+  (* Scratch runs by length, reused by every merge and drop: a run's
+     terminals (the context keeps none of them) and a run of slot tokens
+     to look a signature or run up with. *)
+  let run_terms = Array.make (n + 1) [||] in
+  let scratch_terms len =
+    if Array.length run_terms.(len) = 0 then
+      run_terms.(len) <- Array.make len sink_terms.(0);
+    run_terms.(len)
+  in
+  let run_keys = Array.make (n + 1) [||] in
+  let scratch_key len =
+    if Array.length run_keys.(len) = 0 then run_keys.(len) <- Array.make len 0;
+    run_keys.(len)
+  in
   let structures =
     if cfg.Config.bubbling then Grouping.all else [ Grouping.Chi0 ]
   in
   (* INITIALIZATION (Fig. 9 lines 1-4): single-sink paths, one entry per
      grouping structure whose window fits. *)
-  let sink_base = Hashtbl.create 16 in
+  let sink_base = Array.make n [||] in
   let base_curves pos =
-    match Hashtbl.find_opt sink_base pos with
-    | Some curves -> curves
-    | None ->
-      let curves =
-        star ~active:all_active [| Star_ptree.Sink_term (sink_at pos) |]
-      in
-      Hashtbl.replace sink_base pos curves;
-      curves
+    if Array.length sink_base.(pos) = 0 then
+      sink_base.(pos) <- star ~active:all_active [| sink_terms.(pos) |];
+    sink_base.(pos)
+  in
+  let init_one e =
+    let stretch = Grouping.stretch e in
+    for r = stretch to n - 1 do
+      match Grouping.covered ~r ~len:1 e with
+      | [ pos ] -> gamma_put (key 1 e r) (base_curves pos)
+      | _ -> assert false
+    done
+  in
+  List.iter
+    (fun e -> if Grouping.valid ~len:1 e then init_one e)
+    structures;
+  (* CONSTRUCTION (Fig. 9 lines 5-20), in two passes.  The first plans
+     every window's merges — which Gamma entry becomes the chain, which
+     sinks go left and right of it — in execution order; that depends
+     only on positions.  The second runs them.  Knowing every merge up
+     front tells when a run of terminals is held for the last time, so
+     the *PTREE context drops its cells right after (DESIGN.md §9 "Cell
+     memo").  A window covers an interval of positions less at most two
+     skipped ones, so covering is an interval test. *)
+  let covers ~start ~r ~sl ~sr (pos : int) =
+    pos >= start && pos <= r && pos <> sl && pos <> sr
+  in
+  let signatures = Star_ptree.Runs.create 64 in
+  let plan_window ~cov_len ~e_out ~r_out =
+    let start_out = Grouping.window_start ~r:r_out ~len:cov_len e_out in
+    let sl_out = skipped (Grouping.skipped_left ~r:r_out ~len:cov_len e_out)
+    and sr_out = skipped (Grouping.skipped_right ~r:r_out ~len:cov_len e_out) in
+    let in_out pos =
+      covers ~start:start_out ~r:r_out ~sl:sl_out ~sr:sr_out pos
+    in
+    Star_ptree.Runs.clear signatures;
+    let planned = ref [] in
+    let try_inner l_in e_in r_in =
+      let start_in = Grouping.window_start ~r:r_in ~len:l_in e_in in
+      let sl_in = skipped (Grouping.skipped_left ~r:r_in ~len:l_in e_in)
+      and sr_in = skipped (Grouping.skipped_right ~r:r_in ~len:l_in e_in) in
+      (* Line 15: skip if the inner group covers a sink outside the
+         enclosing group. *)
+      let inside = ref true and first = ref (-1) in
+      (* Downwards, so [first] ends at the first covered position. *)
+      for pos = r_in downto start_in do
+        if covers ~start:start_in ~r:r_in ~sl:sl_in ~sr:sr_in pos then begin
+          first := pos;
+          if not (in_out pos) then inside := false
+        end
+      done;
+      if !inside then begin
+        (* The direct sinks, left of, bubbled out of and right of the
+           inner window, around the chain: a single-sink chain is just
+           that sink.  Routing-wise the two are identical, and
+           collapsing them lets the signature check below share merges
+           across equivalent (e, r) placements. *)
+        let m = 1 + (cov_len - l_in) in
+        let slots = scratch_key m in
+        let t = ref 0 in
+        for pos = start_out to start_in - 1 do
+          if in_out pos then begin
+            slots.(!t) <- 2 * pos;
+            incr t
+          end
+        done;
+        if sl_in >= 0 && in_out sl_in then begin
+          slots.(!t) <- 2 * sl_in;
+          incr t
+        end;
+        slots.(!t) <-
+          (if l_in = 1 then 2 * !first else (2 * key l_in e_in r_in) + 1);
+        incr t;
+        if sr_in >= 0 && in_out sr_in then begin
+          slots.(!t) <- 2 * sr_in;
+          incr t
+        end;
+        for pos = r_in + 1 to r_out do
+          if in_out pos then begin
+            slots.(!t) <- 2 * pos;
+            incr t
+          end
+        done;
+        (* Every direct sink must be accounted for. *)
+        assert (!t = m);
+        if not (Star_ptree.Runs.mem signatures slots) then begin
+          let slots = Array.copy slots in
+          Star_ptree.Runs.add signatures slots ();
+          planned :=
+            { inner = key l_in e_in r_in; slots; dying = [||] } :: !planned
+        end
+      end
+    in
+    for l_in = max 1 (cov_len - alpha + 1) to cov_len - 1 do
+      List.iter
+        (fun e_in ->
+           if Grouping.valid ~len:l_in e_in then begin
+             let lo = start_out + l_in + Grouping.stretch e_in - 1 in
+             match cfg.Config.chain_placement with
+             | Config.All_positions ->
+               for r_in = lo to r_out do
+                 try_inner l_in e_in r_in
+               done
+             | Config.Flush_ends ->
+               if lo <= r_out then try_inner l_in e_in lo;
+               if lo < r_out then try_inner l_in e_in r_out
+           end)
+        structures
+    done;
+    { key = key cov_len e_out r_out;
+      covered = Grouping.covered ~r:r_out ~len:cov_len e_out;
+      placements = Array.of_list (List.rev !planned) }
+  in
+  let windows = ref [] in
+  for cov_len = 2 to n do
+    List.iter
+      (fun e_out ->
+         if Grouping.valid ~len:cov_len e_out then
+           for r_out = cov_len + Grouping.stretch e_out - 1 to n - 1 do
+             windows := plan_window ~cov_len ~e_out ~r_out :: !windows
+           done)
+      structures
+  done;
+  let windows = Array.of_list (List.rev !windows) in
+  (* A run of terminals dies with the last merge that holds it: walking
+     the plan backwards, that is where the run (as slot tokens) is met
+     first. *)
+  let seen = Star_ptree.Runs.create 1024 in
+  let dying = Array.make ((n + 1) * (n + 1)) 0 in
+  for w = Array.length windows - 1 downto 0 do
+    let placements = windows.(w).placements in
+    for q = Array.length placements - 1 downto 0 do
+      let pl = placements.(q) in
+      let m = Array.length pl.slots in
+      let count = ref 0 in
+      for i = 0 to m - 1 do
+        for j = i to m - 1 do
+          let run = scratch_key (j - i + 1) in
+          Array.blit pl.slots i run 0 (j - i + 1);
+          if not (Star_ptree.Runs.mem seen run) then begin
+            Star_ptree.Runs.add seen (Array.copy run) ();
+            dying.(!count) <- (i * m) + j;
+            incr count
+          end
+        done
+      done;
+      pl.dying <- Array.sub dying 0 !count
+    done
+  done;
+  (* Drop the cells of the runs that die with [pl], then forget the
+     chain terminal if it dies too: every run holding the chain needs it
+     to be dropped.  A run whose chain was never made (its Gamma entry is
+     empty) has no cells. *)
+  let retire pl =
+    let m = Array.length pl.slots in
+    for d = 0 to Array.length pl.dying - 1 do
+      let i = pl.dying.(d) / m and j = pl.dying.(d) mod m in
+      let run = scratch_terms (j - i + 1) in
+      let made = ref true in
+      for t = i to j do
+        let tok = pl.slots.(t) in
+        if tok land 1 = 0 then run.(t - i) <- sink_terms.(tok lsr 1)
+        else
+          match chains.(tok lsr 1) with
+          | Some term -> run.(t - i) <- term
+          | None -> made := false
+      done;
+      if !made then Star_ptree.drop context run
+    done;
+    for d = 0 to Array.length pl.dying - 1 do
+      let i = pl.dying.(d) / m and j = pl.dying.(d) mod m in
+      let tok = pl.slots.(i) in
+      if i = j && tok land 1 = 1 then chains.(tok lsr 1) <- None
+    done
   in
   (* Candidates offered to a merge: those inside the covered sinks' bounding
      box inflated by the configured slack, plus the source. *)
@@ -149,161 +329,6 @@ let construct ?candidates ~cfg ~tech ~buffers (net : Net.t) order =
         inside := p :: !inside
     done;
     Array.of_list (source_index :: !inside)
-  in
-  let init_one e =
-    let stretch = Grouping.stretch e in
-    for r = stretch to n - 1 do
-      match Grouping.covered ~r ~len:1 e with
-      | [ pos ] -> gamma_put 1 e r (base_curves pos)
-      | _ -> assert false
-    done
-  in
-  List.iter
-    (fun e -> if Grouping.valid ~len:1 e then init_one e)
-    structures;
-  (* CONSTRUCTION (Fig. 9 lines 5-20), in two passes.  The first plans
-     every window's merges — which Gamma entry becomes the chain, which
-     sinks go left and right of it — in execution order; that depends
-     only on positions.  The second runs them.  Knowing every merge up
-     front tells when a run of terminals is held for the last time, so
-     the *PTREE context drops its cells right after (DESIGN.md §9 "Cell
-     memo"). *)
-  let module IS = Set.Make (Int) in
-  (* Slot tokens: a position's is even, a chain's odd. *)
-  let token = function
-    | Pos pos -> 2 * pos
-    | Chain (l, e, r) -> (2 * ((((l * 4) + Grouping.code e) * n) + r)) + 1
-  in
-  let plan_window ~cov_len ~e_out ~r_out =
-    let covered_out = Grouping.covered ~r:r_out ~len:cov_len e_out in
-    let set_out = IS.of_list covered_out in
-    let start_out = Grouping.window_start ~r:r_out ~len:cov_len e_out in
-    let seen_signatures = Hashtbl.create 16 in
-    let planned = ref [] in
-    let try_inner l_in e_in r_in =
-      let covered_in = Grouping.covered ~r:r_in ~len:l_in e_in in
-      let set_in = IS.of_list covered_in in
-      (* Line 15: skip if the inner group covers a sink outside the
-         enclosing group. *)
-      if IS.subset set_in set_out then begin
-        let directs = IS.elements (IS.diff set_out set_in) in
-        let start_in = Grouping.window_start ~r:r_in ~len:l_in e_in in
-        let sl = Grouping.skipped_left ~r:r_in ~len:l_in e_in in
-        let sr = Grouping.skipped_right ~r:r_in ~len:l_in e_in in
-        let skipped_at opt pos =
-          match opt with Some p -> Int.equal p pos | None -> false
-        in
-        let is_bubbled pos = skipped_at sl pos || skipped_at sr pos in
-        let positions = List.map (fun pos -> Pos pos) in
-        let lefts =
-          List.filter (fun pos -> pos < start_in && not (is_bubbled pos)) directs
-        and rights =
-          List.filter (fun pos -> pos > r_in && not (is_bubbled pos)) directs
-        in
-        let bubbled skipped =
-          match skipped with
-          | Some pos when IS.mem pos set_out -> [ Pos pos ]
-          | Some _ | None -> []
-        in
-        (* A single-sink chain is just that sink: routing-wise the two
-           are identical, and collapsing them lets the signature check
-           below share merges across equivalent (e, r) placements. *)
-        let chain =
-          if l_in = 1 then positions covered_in else [ Chain (l_in, e_in, r_in) ]
-        in
-        let slots =
-          positions lefts @ bubbled sl @ chain @ bubbled sr @ positions rights
-        in
-        (* Every direct sink must be accounted for: left of, bubbled
-           out of, or right of the inner window. *)
-        assert (List.length slots = 1 + (cov_len - l_in));
-        let signature = List.map token slots in
-        if not (Hashtbl.mem seen_signatures signature) then begin
-          Hashtbl.add seen_signatures signature ();
-          planned :=
-            { inner = (l_in, e_in, r_in); slots = Array.of_list slots; dying = [] }
-            :: !planned
-        end
-      end
-    in
-    let inner_r_positions l_in' =
-      let lo = start_out + l_in' - 1 and hi = r_out in
-      match cfg.Config.chain_placement with
-      | Config.All_positions -> List.init (max 0 (hi - lo + 1)) (fun i -> lo + i)
-      | Config.Flush_ends ->
-        if lo > hi then [] else if lo = hi then [ lo ] else [ lo; hi ]
-    in
-    for l_in = max 1 (cov_len - alpha + 1) to cov_len - 1 do
-      List.iter
-        (fun e_in ->
-           if Grouping.valid ~len:l_in e_in then begin
-             let l_in' = l_in + Grouping.stretch e_in in
-             List.iter (fun r_in -> try_inner l_in e_in r_in)
-               (inner_r_positions l_in')
-           end)
-        structures
-    done;
-    { cov_len; e_out; r_out; covered = covered_out;
-      placements = List.rev !planned }
-  in
-  let windows =
-    List.concat_map
-      (fun cov_len ->
-         List.concat_map
-           (fun e_out ->
-              if not (Grouping.valid ~len:cov_len e_out) then []
-              else
-                let l_out' = cov_len + Grouping.stretch e_out in
-                List.init
-                  (max 0 (n - l_out' + 1))
-                  (fun i -> plan_window ~cov_len ~e_out ~r_out:(l_out' - 1 + i)))
-           structures)
-      (List.init (max 0 (n - 1)) (fun i -> i + 2))
-  in
-  (* A run of terminals dies with the last merge that holds it: walking
-     the plan backwards, that is where the run (as slot tokens) is met
-     first. *)
-  let seen = Star_ptree.Runs.create 1024 in
-  List.iter
-    (fun pl ->
-       let toks = Array.map token pl.slots in
-       let m = Array.length toks in
-       for i = 0 to m - 1 do
-         for j = i to m - 1 do
-           let run = Array.sub toks i (j - i + 1) in
-           if not (Star_ptree.Runs.mem seen run) then begin
-             Star_ptree.Runs.add seen run ();
-             pl.dying <- (i, j) :: pl.dying
-           end
-         done
-       done)
-    (List.rev (List.concat_map (fun w -> w.placements) windows));
-  (* Drop the cells of the runs that die with [pl], then forget the
-     chain terminal if it dies too: every run holding the chain needs it
-     to be dropped.  A run whose chain was never made (its Gamma entry is
-     empty) has no cells. *)
-  let retire pl =
-    List.iter
-      (fun (i, j) ->
-         let terminals =
-           List.filter_map
-             (function
-               | Pos pos -> Some (Star_ptree.Sink_term (sink_at pos))
-               | Chain (l, e, r) ->
-                 Option.map
-                   (fun sub -> Star_ptree.Sub_term sub)
-                   (Hashtbl.find_opt chains (l, Grouping.code e, r)))
-             (Array.to_list (Array.sub pl.slots i (j - i + 1)))
-         in
-         if List.length terminals = j - i + 1 then
-           Star_ptree.drop context (Array.of_list terminals))
-      pl.dying;
-    List.iter
-      (fun (i, j) ->
-         match pl.slots.(i) with
-         | Chain (l, e, r) when i = j -> Hashtbl.remove chains (l, Grouping.code e, r)
-         | Chain _ | Pos _ -> ())
-      pl.dying
   in
   let merge_window w =
     let active = active_for w.covered in
@@ -328,23 +353,24 @@ let construct ?candidates ~cfg ~tech ~buffers (net : Net.t) order =
       end;
       bld
     in
-    List.iter
+    Array.iter
       (fun pl ->
-         let l_in, e_in, r_in = pl.inner in
-         (match gamma_find l_in e_in r_in with
-          | None -> ()
-          | Some inner_curves ->
-            let terminal = function
-              | Pos pos -> Star_ptree.Sink_term (sink_at pos)
-              | Chain (l, e, r) ->
-                Star_ptree.Sub_term (chain_terminal l e r inner_curves)
-            in
-            let out = star ~active (Array.map terminal pl.slots) in
-            Array.iteri
-              (fun p c ->
-                 if not (Curve.is_empty c) then
-                   Curve.Builder.add_curve (acc_builder p) c)
-              out);
+         let inner_curves = gamma.(pl.inner) in
+         if Array.length inner_curves > 0 then begin
+           let m = Array.length pl.slots in
+           let run = scratch_terms m in
+           for t = 0 to m - 1 do
+             let tok = pl.slots.(t) in
+             run.(t) <-
+               (if tok land 1 = 0 then sink_terms.(tok lsr 1)
+                else chain_terminal (tok lsr 1) inner_curves)
+           done;
+           let out = star ~active run in
+           for p = 0 to k - 1 do
+             if not (Curve.is_empty out.(p)) then
+               Curve.Builder.add_curve (acc_builder p) out.(p)
+           done
+         end;
          retire pl)
       w.placements;
     let capped =
@@ -357,17 +383,17 @@ let construct ?candidates ~cfg ~tech ~buffers (net : Net.t) order =
               Curve.Builder.build ~name:"Bubble_construct.merge"
                 ~max_size:cfg.Config.max_curve bld)
     in
-    gamma_put w.cov_len w.e_out w.r_out capped
+    gamma_put w.key capped
   in
-  List.iter merge_window windows;
+  Array.iter merge_window windows;
   (* With one sink no merge holds the initialisation's run. *)
-  if n = 1 then Star_ptree.drop context [| Star_ptree.Sink_term (sink_at 0) |];
+  if n = 1 then Star_ptree.drop context [| sink_terms.(0) |];
   (* EXTRACTION (Fig. 9 lines 21-23): connect the driver, and build the
      trees and member lists of the final curve's points, the only ones
      of the construction that are read. *)
+  let top = gamma.(key n Grouping.Chi0 (n - 1)) in
   let final =
-    match gamma_find n Grouping.Chi0 (n - 1) with
-    | None -> Curve.empty
-    | Some top -> Curve.map_data Build.materialise (Batch.to_driver ~tech net top)
+    if Array.length top = 0 then Curve.empty
+    else Curve.map_data Build.materialise (Batch.to_driver ~tech net top)
   in
   { curve = final; candidates; merges = !merges }

@@ -21,8 +21,9 @@ open Merlin_tech
 open Merlin_net
 open Merlin_curves
 
-(** Per-construct memo of interval cells, with the knobs and scratch
-    builders every run through it shares.  A cell of the interval DP —
+(** Per-construct memo of interval cells, with the knobs, the scratch
+    builders and the scratch of the run in progress (its terminal ids,
+    cell table and active set) every run through it shares.  A cell of the interval DP —
     the curves of terminals i..j at the cell's active roots, and its
     lazy relocations to other roots — depends only on those terminals,
     that active set and the knobs (the active set of every sub-cell is
@@ -77,8 +78,9 @@ type terminal =
 val drop : context -> terminal array -> unit
 
 (** Hash tables keyed by runs of ints, hashed over every element (the
-    generic [Hashtbl.hash] reads only the first few): the memo's key
-    type, shared with callers that plan runs of terminals. *)
+    generic [Hashtbl.hash] reads only the first few), for callers that
+    plan runs of terminals.  A caller that probes with a scratch array
+    and stores a copy only when it adds allocates nothing per probe. *)
 module Runs : Hashtbl.S with type key = int array
 
 (** [run_in ctx ~active ~terminals] is the per-candidate solution curve
@@ -87,8 +89,12 @@ module Runs : Hashtbl.S with type key = int array
     inactive indices are empty.  Every returned curve is closed under
     root-buffer insertion.  It reuses and extends [ctx]'s cells, and a
     result never depends on which cells were already there: a fresh
-    context per call gives the same curves.  Raises [Invalid_argument]
-    on empty [terminals], [candidates] or [active]. *)
+    context per call gives the same curves.  Beyond the cells it
+    computes and stores, a run allocates only its result: it keeps no
+    reference to [terminals] or [active], and a lookup that finds its
+    cell allocates nothing.  Raises [Invalid_argument] on empty
+    [terminals], [candidates] or [active], or on a sub-group with no
+    curve. *)
 val run_in :
   context -> active:int array -> terminals:terminal array -> Build.prov Curve.t array
 

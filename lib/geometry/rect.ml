@@ -5,13 +5,17 @@ let make a b =
   let hi = Point.make (max a.Point.x b.Point.x) (max a.Point.y b.Point.y) in
   { lo; hi }
 
+(* Folds the four extremes as ints, so only the result is allocated. *)
 let bounding_box = function
   | [] -> invalid_arg "Rect.bounding_box: empty list"
   | p :: rest ->
-    let expand acc q = make (Point.make (min acc.lo.Point.x q.Point.x) (min acc.lo.Point.y q.Point.y))
-        (Point.make (max acc.hi.Point.x q.Point.x) (max acc.hi.Point.y q.Point.y))
+    let rec fold lx ly hx hy = function
+      | [] -> { lo = Point.make lx ly; hi = Point.make hx hy }
+      | q :: rest ->
+        let x = q.Point.x and y = q.Point.y in
+        fold (Int.min lx x) (Int.min ly y) (Int.max hx x) (Int.max hy y) rest
     in
-    List.fold_left expand (make p p) rest
+    fold p.Point.x p.Point.y p.Point.x p.Point.y rest
 
 let width r = r.hi.Point.x - r.lo.Point.x
 
@@ -27,5 +31,7 @@ let inflate r margin =
   { lo = Point.make (r.lo.Point.x - margin) (r.lo.Point.y - margin);
     hi = Point.make (r.hi.Point.x + margin) (r.hi.Point.y + margin) }
 
-let inflate_by_slack slack r =
-  inflate r (1 + int_of_float (slack *. float_of_int (half_perimeter r)))
+let slack_margin slack half_perimeter =
+  1 + int_of_float (slack *. float_of_int half_perimeter)
+
+let inflate_by_slack slack r = inflate r (slack_margin slack (half_perimeter r))

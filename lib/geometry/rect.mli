@@ -20,7 +20,12 @@ val contains : t -> Point.t -> bool
 (** [inflate r margin] grows the rectangle by [margin] on every side. *)
 val inflate : t -> int -> t
 
-(** [inflate_by_slack slack r] grows [r] on every side by one plus
-    [slack] times its half perimeter, rounded down: the box a \*PTREE
-    cell or a MERLIN merge offers candidates in. *)
+(** [slack_margin slack hp] is one plus [slack] times [hp], rounded
+    down: the margin {!inflate_by_slack} grows a box of half perimeter
+    [hp] by, for callers that fold a box in ints. *)
+val slack_margin : float -> int -> int
+
+(** [inflate_by_slack slack r] grows [r] on every side by
+    [slack_margin slack (half_perimeter r)]: the box a \*PTREE cell or a
+    MERLIN merge offers candidates in. *)
 val inflate_by_slack : float -> t -> t

@@ -673,6 +673,58 @@ let test_window_costs_nothing () =
     (reading + (11 * (Sys.word_size / 8)))
     (Star_ptree.window_bytes () - before)
 
+(* A warm run allocates only its result: the second of two identical
+   runs on one context finds its top cell in the memo, and the lookup
+   (hashing the run's ids in place, folding the terminals' box in ints)
+   allocates nothing.  Terminals: a sub-group, then five sinks (m = 6).
+   The budget, m^2 + k words, is linear in the run's table and its
+   result; a run that rebuilds a box per cell range, a run key per
+   lookup or its closures per call reads well above it.  Bytes are read
+   as in [build payloads allocate one block].  Native code only: the
+   bytecode interpreter allocates on the way. *)
+let test_warm_run_bytes () =
+  let net = mk_net 7 13 in
+  let candidates = Bubble_construct.candidate_set tiny_cfg net in
+  let k = Array.length candidates in
+  let active = Array.init k Fun.id in
+  let ctx =
+    Star_ptree.context ~tech ~buffers ~trials:3 ~max_curve:6
+      ~quant:(0.0, 0.0, 0.0) ~bbox_slack:0.4 ~candidates ()
+  in
+  let sub =
+    Star_ptree.sub
+      (Star_ptree.run_in ctx ~active
+         ~terminals:
+           [| Star_ptree.Sink_term (Net.sink net 0);
+              Star_ptree.Sink_term (Net.sink net 1) |])
+  in
+  let terminals =
+    Array.append [| Star_ptree.Sub_term sub |]
+      (Array.init 5 (fun i -> Star_ptree.Sink_term (Net.sink net (i + 2))))
+  in
+  let m = Array.length terminals in
+  let cold = Star_ptree.run_in ctx ~active ~terminals in
+  let bytes = Star_ptree.allocated_bytes in
+  let reading =
+    let x = bytes () in
+    let y = bytes () in
+    y -. x
+  in
+  let before = bytes () in
+  let warm = Star_ptree.run_in ctx ~active ~terminals in
+  let got = bytes () -. before -. reading in
+  Alcotest.(check bool) "warm run = cold run" true
+    (Array.for_all2
+       (fun a b -> Curve.size a = Curve.size b)
+       cold warm);
+  let budget = float_of_int ((m * m) + k) *. float_of_int (Sys.word_size / 8) in
+  match Sys.backend_type with
+  | Sys.Native ->
+    if got > budget then
+      Alcotest.failf "warm run of %d terminals over %d candidates allocates \
+                      %.0f B, over m^2 + k words (%.0f B)" m k got budget
+  | Sys.Bytecode | Sys.Other _ -> ()
+
 (* Exact mode: a cap no curve reaches, then the widest one, max_int.
    The routes are the same down to the trees, so no candidate code
    depends on the cap's magnitude. *)
@@ -931,6 +983,8 @@ let suite =
         test_allocated_bytes_additive;
       Alcotest.test_case "a kernel byte window costs no bytes" `Quick
         test_window_costs_nothing;
+      Alcotest.test_case "star: a warm run allocates only its result" `Quick
+        test_warm_run_bytes;
       Alcotest.test_case "exact mode: max_curve = max_int" `Quick
         test_exact_mode_max_int;
       Alcotest.test_case "bubble: validity, Lemma 5, C-alpha" `Slow

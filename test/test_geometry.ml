@@ -10,6 +10,40 @@ let arb_points =
     ~print:(fun l -> String.concat ";" (List.map Point.to_string l))
     QCheck.Gen.(list_size (int_range 1 12) point_gen)
 
+(* Up to a few hundred points: the box's allocation must not grow with
+   the list. *)
+let arb_long_points =
+  QCheck.make
+    ~print:(fun l -> String.concat ";" (List.map Point.to_string l))
+    QCheck.Gen.(list_size (int_range 1 300) point_gen)
+
+(* [Rect.bounding_box] is the componentwise min and max of the points,
+   and allocates its result (the rectangle and its two corners, nine
+   words) and nothing else, whatever the list's length.  Bytes are read
+   with the counter the kernel's windows use, less the cost of a
+   reading.  Native code only: the bytecode interpreter allocates on
+   the way. *)
+let prop_bounding_box pts =
+  let xs = List.map (fun p -> p.Point.x) pts
+  and ys = List.map (fun p -> p.Point.y) pts in
+  let least = List.fold_left Int.min max_int
+  and most = List.fold_left Int.max min_int in
+  let bytes = Merlin_core.Star_ptree.allocated_bytes in
+  let reading =
+    let x = bytes () in
+    let y = bytes () in
+    y -. x
+  in
+  let before = bytes () in
+  let box = Sys.opaque_identity (Rect.bounding_box pts) in
+  let got = bytes () -. before -. reading in
+  Point.equal box.Rect.lo (Point.make (least xs) (least ys))
+  && Point.equal box.Rect.hi (Point.make (most xs) (most ys))
+  &&
+  match Sys.backend_type with
+  | Sys.Native -> Float.equal got (float_of_int (9 * (Sys.word_size / 8)))
+  | Sys.Bytecode | Sys.Other _ -> true
+
 let qtest name ?(count = 200) arb prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~name ~count arb prop)
 
@@ -95,6 +129,8 @@ let props =
     qtest "center of mass inside box" arb_points (fun pts ->
         let box = Rect.bounding_box pts in
         Rect.contains box (Point.center_of_mass pts));
+    qtest "bounding box = componentwise extremes, allocating only itself"
+      arb_long_points prop_bounding_box;
     qtest "hanan grid size" arb_points (fun pts ->
         let xs = List.sort_uniq Int.compare (List.map (fun p -> p.Point.x) pts) in
         let ys = List.sort_uniq Int.compare (List.map (fun p -> p.Point.y) pts) in
